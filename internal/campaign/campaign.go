@@ -199,12 +199,14 @@ type job struct {
 	want    string // reference output
 	mutant  *mutate.Mutant
 
-	// Harvested from the subject's reference run, shared read-mostly by
+	// Built from the subject's reference run, shared read-mostly by
 	// every session over this subject's mutants (CallDB locks; the
 	// assertion DB is never written after harvest — the reference oracle
-	// supplies no new assertions).
+	// supplies no new assertions; the oracle only reads the transformed
+	// reference analysis).
 	tests   *tgen.CallDB
 	asserts *assertion.DB
+	oracle  debugger.Oracle
 }
 
 // Run executes the campaign and returns the aggregated report.
@@ -302,6 +304,11 @@ func buildJobs(cfg Config) (jobs []job, preclassified []MutantOutcome, subjectEr
 			continue
 		}
 		want := ref.Output
+		oracle, werr := ref.System.Oracle(cfg.Fuel)
+		if werr != nil {
+			subjectErrs = append(subjectErrs, fmt.Sprintf("%s: %v", s.Name, werr))
+			continue
+		}
 		var tests *tgen.CallDB
 		var asserts *assertion.DB
 		if !cfg.NoHarvest {
@@ -336,7 +343,7 @@ func buildJobs(cfg Config) (jobs []job, preclassified []MutantOutcome, subjectEr
 				preclassified = append(preclassified, o)
 				continue
 			}
-			jobs = append(jobs, job{subject: s, want: want, mutant: m, tests: tests, asserts: asserts})
+			jobs = append(jobs, job{subject: s, want: want, mutant: m, tests: tests, asserts: asserts, oracle: oracle})
 		}
 	}
 	if len(jobs) == 0 && len(preclassified) == 0 {
@@ -503,11 +510,6 @@ func eval(cfg Config, j job) MutantOutcome {
 
 func debugOne(cfg Config, j job, run *gadt.Run, strat debugger.Strategy) StrategyScore {
 	score := StrategyScore{Strategy: strat.String()}
-	oracle, err := gadt.IntendedOracleLimited(j.subject.Source, cfg.Fuel)
-	if err != nil {
-		score.Error = err.Error()
-		return score
-	}
 	dc := gadt.DebugConfig{
 		Strategy:     strat,
 		Slicing:      true,
@@ -517,7 +519,7 @@ func debugOne(cfg Config, j job, run *gadt.Run, strat debugger.Strategy) Strateg
 	if j.tests != nil {
 		dc.Tests = j.tests
 	}
-	out, err := run.Debug(oracle, dc)
+	out, err := run.Debug(j.oracle, dc)
 	if out != nil {
 		score.Questions = out.Questions
 		score.ByAssertions = out.ByAssertions

@@ -280,19 +280,24 @@ func (r *Run) DebugWithFallback(oracle debugger.Oracle, cfg DebugConfig, verify 
 	return first, final, true, nil
 }
 
+// Oracle builds an intended-semantics oracle from this system as the
+// reference implementation, transformed the same way as the subject so
+// unit names line up. maxSteps bounds each reference replay (<= 0 uses
+// the oracle's default). The oracle only reads the transformed analysis,
+// so one oracle can serve any number of concurrent sessions.
+func (s *System) Oracle(maxSteps int) (debugger.Oracle, error) {
+	res, err := s.Transform()
+	if err != nil {
+		return nil, fmt.Errorf("gadt: reference: %w", err)
+	}
+	return &debugger.IntendedOracle{Ref: res.Info, MaxSteps: maxSteps}, nil
+}
+
 // IntendedOracle builds an oracle from a reference ("intended")
 // implementation, transformed the same way as the subject so unit names
 // line up. The reference must be structurally identical modulo the bug.
 func IntendedOracle(refSource string) (debugger.Oracle, error) {
-	ref, err := Load("reference.pas", refSource)
-	if err != nil {
-		return nil, fmt.Errorf("gadt: reference: %w", err)
-	}
-	tref, err := ref.Transform()
-	if err != nil {
-		return nil, fmt.Errorf("gadt: reference: %w", err)
-	}
-	return &debugger.IntendedOracle{Ref: tref.Info}, nil
+	return IntendedOracleLimited(refSource, 0)
 }
 
 // IntendedOracleLimited is IntendedOracle with a per-query step budget
@@ -303,11 +308,7 @@ func IntendedOracleLimited(refSource string, maxSteps int) (debugger.Oracle, err
 	if err != nil {
 		return nil, fmt.Errorf("gadt: reference: %w", err)
 	}
-	tref, err := ref.Transform()
-	if err != nil {
-		return nil, fmt.Errorf("gadt: reference: %w", err)
-	}
-	return &debugger.IntendedOracle{Ref: tref.Info, MaxSteps: maxSteps}, nil
+	return ref.Oracle(maxSteps)
 }
 
 // IntendedOracleOriginal is IntendedOracle without transformation, for
