@@ -2,7 +2,6 @@ package transform
 
 import (
 	"fmt"
-	"sort"
 
 	"gadt/internal/analysis/callgraph"
 	"gadt/internal/analysis/sideeffect"
@@ -55,8 +54,8 @@ func varBoundVars(info *sem.Info, cg *callgraph.Graph) map[*sem.VarSym]bool {
 // explicit parameter passing (the paper's first transformation example):
 // referenced-only globals become value ("in") parameters, modified ones
 // become var or out parameters, and every call site passes the variable
-// through, transitively.
-func (st *state) globalsToParams(p *ast.Program, info *sem.Info) error {
+// through, transitively. It reports whether it rewrote the program.
+func (st *state) globalsToParams(p *ast.Program, info *sem.Info) (changed bool, err error) {
 	cg := callgraph.Build(info)
 	se := sideeffect.Analyze(info, cg)
 	bound := varBoundVars(info, cg)
@@ -117,7 +116,7 @@ func (st *state) globalsToParams(p *ast.Program, info *sem.Info) error {
 		plan[r] = entries
 	}
 	if len(plan) == 0 {
-		return nil
+		return false, nil
 	}
 
 	// Rewrite each routine: rename non-local references to the new
@@ -153,7 +152,7 @@ func (st *state) globalsToParams(p *ast.Program, info *sem.Info) error {
 
 		// Extend call sites in r's body.
 		if err := st.extendCalls(r, info, plan, denote); err != nil {
-			return err
+			return false, err
 		}
 
 		// Append the formal parameters.
@@ -161,7 +160,7 @@ func (st *state) globalsToParams(p *ast.Program, info *sem.Info) error {
 			for _, en := range entries {
 				texpr, err := typeExprOf(en.v)
 				if err != nil {
-					return fmt.Errorf("transform: lifting %s into a parameter of %s: %w", en.v.Name, r.Name, err)
+					return false, fmt.Errorf("transform: lifting %s into a parameter of %s: %w", en.v.Name, r.Name, err)
 				}
 				r.Decl.Params = append(r.Decl.Params, &ast.Param{
 					DeclPos: r.Decl.Pos(),
@@ -175,7 +174,7 @@ func (st *state) globalsToParams(p *ast.Program, info *sem.Info) error {
 			}
 		}
 	}
-	return nil
+	return true, nil
 }
 
 // typeExprOf reconstructs a type denotation for v from its declaration.
@@ -298,14 +297,4 @@ func (st *state) extendCalls(r *sem.Routine, info *sem.Info, plan map[*sem.Routi
 	}
 	rewriteStmt(r.Block.Body)
 	return nil
-}
-
-// sortedPlanRoutines is a debugging helper listing planned routines.
-func sortedPlanRoutines(plan map[*sem.Routine][]globalEntry) []string {
-	var out []string
-	for r := range plan {
-		out = append(out, fmt.Sprintf("%s(+%d)", r.Name, len(plan[r])))
-	}
-	sort.Strings(out)
-	return out
 }

@@ -21,8 +21,9 @@ const (
 // parameter; each global goto becomes `exitcond := code; goto exitlab`
 // with exitlab placed at the routine's end; each call site receives the
 // code in a fresh temporary and either jumps to the (now local) label or
-// re-raises through its own exit-condition parameter.
-func (st *state) breakGotos(p *ast.Program, info *sem.Info) error {
+// re-raises through its own exit-condition parameter. It reports
+// whether it rewrote the program.
+func (st *state) breakGotos(p *ast.Program, info *sem.Info) (changed bool, err error) {
 	cg := callgraph.Build(info)
 	se := sideeffect.Analyze(info, cg)
 
@@ -38,7 +39,7 @@ func (st *state) breakGotos(p *ast.Program, info *sem.Info) error {
 		}
 	}
 	if len(codes) == 0 {
-		return nil // no global gotos anywhere
+		return false, nil // no global gotos anywhere
 	}
 
 	// Reject functions with exit effects: breaking them would require
@@ -46,7 +47,7 @@ func (st *state) breakGotos(p *ast.Program, info *sem.Info) error {
 	// in the paper).
 	for _, r := range info.Routines {
 		if r.Kind == ast.FuncKind && len(se.Of[r].ExitTargets) > 0 {
-			return fmt.Errorf("transform: function %s contains a non-local goto, which is not supported", r.Name)
+			return false, fmt.Errorf("transform: function %s contains a non-local goto, which is not supported", r.Name)
 		}
 	}
 
@@ -64,7 +65,7 @@ func (st *state) breakGotos(p *ast.Program, info *sem.Info) error {
 	for _, r := range info.Routines {
 		st.breakGotosInRoutine(r, info, se, codes, exitParam, exitLabel)
 	}
-	return nil
+	return true, nil
 }
 
 // freshLabel invents an unused numeric label.

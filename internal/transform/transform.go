@@ -201,6 +201,8 @@ func ApplyStages(info *sem.Info, stages Stages) (*Result, error) {
 
 	// (Re-)analyze the clone: the input info describes the original AST,
 	// and passes 2 and 3 must resolve symbols of the clone they rewrite.
+	// Later passes re-analyze only when they rewrote the clone; otherwise
+	// cur still describes it exactly.
 	cur, err := sem.Analyze(clone)
 	if err != nil {
 		return nil, fmt.Errorf("transform: loop extraction broke the program: %w", err)
@@ -208,29 +210,31 @@ func ApplyStages(info *sem.Info, stages Stages) (*Result, error) {
 
 	// Pass 2: break global gotos.
 	if stages.Gotos {
-		if err := st.breakGotos(clone, cur); err != nil {
+		changed, err := st.breakGotos(clone, cur)
+		if err != nil {
 			return nil, err
 		}
-		info3, err := sem.Analyze(clone)
-		if err != nil {
-			return nil, fmt.Errorf("transform: goto breaking broke the program: %w", err)
+		if changed {
+			if cur, err = sem.Analyze(clone); err != nil {
+				return nil, fmt.Errorf("transform: goto breaking broke the program: %w", err)
+			}
 		}
-		cur = info3
 	}
 
 	// Pass 3: globals to parameters.
 	if stages.Globals {
-		if err := st.globalsToParams(clone, cur); err != nil {
+		changed, err := st.globalsToParams(clone, cur)
+		if err != nil {
 			return nil, err
 		}
-	}
-
-	final, err := sem.Analyze(clone)
-	if err != nil {
-		return nil, fmt.Errorf("transform: transformed program does not re-analyze: %w", err)
+		if changed {
+			if cur, err = sem.Analyze(clone); err != nil {
+				return nil, fmt.Errorf("transform: transformed program does not re-analyze: %w", err)
+			}
+		}
 	}
 	res.Program = clone
-	res.Info = final
+	res.Info = cur
 	return res, nil
 }
 
