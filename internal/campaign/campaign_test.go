@@ -366,3 +366,100 @@ func TestCampaignCorpusSmoke(t *testing.T) {
 		t.Error("report JSON missing by_strategy")
 	}
 }
+
+// TestSharedOracleMatchesFreshOracle pins the per-subject oracle: the
+// campaign builds one intended-semantics oracle per subject from its
+// reference run and shares it across workers, and every killed
+// mutant's score must equal a session debugged with a freshly built
+// gadt.IntendedOracleLimited. Harvest is off so every query reaches the
+// oracle. One subject is globals-style, so the transformed reference
+// has lifted parameters.
+func TestSharedOracleMatchesFreshOracle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("per-mutant re-debugging is not short")
+	}
+	var subjects []campaign.Subject
+	for _, s := range campaign.DefaultSubjects() {
+		if s.Name == "sqrtest" || strings.HasPrefix(s.Name, "synth(d=2,f=2,globals") {
+			subjects = append(subjects, s)
+		}
+	}
+	if len(subjects) != 2 {
+		t.Fatalf("found %d of 2 subjects", len(subjects))
+	}
+	const fuel = 60_000
+	cfg := campaign.Config{Subjects: subjects, Seed: 1, Workers: 4, Fuel: fuel, NoHarvest: true, Timeout: time.Minute}
+	rep := small(t, cfg)
+
+	mutants := make(map[string]map[int]*mutate.Mutant)
+	for _, s := range subjects {
+		en, err := mutate.EnumerateProgram(s.Name+".pas", s.Source, mutate.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutants[s.Name] = make(map[int]*mutate.Mutant)
+		for _, m := range en.Mutants {
+			mutants[s.Name][m.ID] = m
+		}
+		ref, err := gadt.Load(s.Name+".pas", s.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ref.Transform()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(s.Name, "globals") && res.Stats().GlobalsLifted == 0 {
+			t.Errorf("%s: transform lifted no globals", s.Name)
+		}
+	}
+
+	killed := make(map[string]int)
+	for _, o := range rep.Outcomes {
+		if o.Status != campaign.StatusKilled || len(o.Strategies) == 0 {
+			continue
+		}
+		killed[o.Subject]++
+		var subject campaign.Subject
+		for _, s := range subjects {
+			if s.Name == o.Subject {
+				subject = s
+			}
+		}
+		m := mutants[o.Subject][o.MutantID]
+		sys, err := gadt.Load(subject.Name+".pas", m.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := sys.TraceLimited(subject.Input, fuel, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, strat := range debugger.Strategies() {
+			oracle, err := gadt.IntendedOracleLimited(subject.Source, fuel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := campaign.StrategyScore{Strategy: strat.String()}
+			out, err := run.Debug(oracle, gadt.DebugConfig{Strategy: strat, Slicing: true, MaxQuestions: 2000})
+			if out != nil {
+				want.Questions = out.Questions
+			}
+			if err != nil {
+				want.Error = err.Error()
+			} else if out.Localized() {
+				want.Localized = run.System.Transformed.OriginRoutine(out.Bug.Unit.Name)
+				want.Correct = want.Localized == m.Unit
+			}
+			if got := o.Strategies[i]; got != want {
+				t.Errorf("%s mutant %d (%s): shared oracle %+v, fresh oracle %+v",
+					o.Subject, o.MutantID, m.Description, got, want)
+			}
+		}
+	}
+	for _, s := range subjects {
+		if killed[s.Name] == 0 {
+			t.Errorf("%s: no killed mutants were debugged", s.Name)
+		}
+	}
+}

@@ -356,7 +356,8 @@ func TestUnitsSeededWithRoutines(t *testing.T) {
 
 func TestIdempotentWhenNoEffects(t *testing.T) {
 	// A program without globals, gotos or loops transforms to itself
-	// (modulo printing).
+	// (modulo printing), and the analysis kept from before the no-op
+	// passes still describes the returned clone.
 	src := paper.PQR
 	res := apply(t, src)
 	if len(res.Added) != 0 {
@@ -365,6 +366,93 @@ func TestIdempotentWhenNoEffects(t *testing.T) {
 	for name, u := range res.Units {
 		if u.Kind == transform.LoopUnit {
 			t.Errorf("PQR gained loop unit %s", name)
+		}
+	}
+	checkInfoDescribesProgram(t, res)
+}
+
+// TestInfoDescribesProgram covers the analysis reuse in ApplyStages:
+// whether or not a pass rewrote the clone, the returned Info must be
+// the analysis of the returned Program. The globals-only program runs
+// a no-op goto pass and a rewriting globals pass; the global-goto
+// program runs a rewriting goto pass and a no-op globals pass.
+func TestInfoDescribesProgram(t *testing.T) {
+	for _, tc := range []struct{ name, src string }{
+		{"globalsOnly", `
+program t;
+var g, h: integer;
+
+procedure bump;
+begin
+  g := g + h;
+end;
+
+begin
+  g := 1;
+  h := 2;
+  bump;
+  writeln(g);
+end.`},
+		{"globalGoto", `
+program t;
+label 9;
+
+procedure check(n: integer);
+begin
+  if n < 0 then goto 9;
+  writeln(n);
+end;
+
+begin
+  check(1);
+  check(-1);
+  writeln(0);
+  9:
+end.`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := apply(t, tc.src)
+			if len(res.Added) == 0 {
+				t.Fatalf("no parameters added:\n%s", printer.Print(res.Program))
+			}
+			checkInfoDescribesProgram(t, res)
+		})
+	}
+}
+
+// checkInfoDescribesProgram asserts res.Info is the analysis of
+// res.Program: every identifier resolves, through the UID cache and the
+// map alike, to the symbol a fresh analysis of the program assigns.
+func checkInfoDescribesProgram(t *testing.T, res *transform.Result) {
+	t.Helper()
+	if res.Info.Program != res.Program {
+		t.Fatal("res.Info does not describe res.Program")
+	}
+	got := make(map[*ast.Ident]sem.Symbol)
+	ast.Inspect(res.Program, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			sym := res.Info.Uses[id]
+			if sym == nil {
+				t.Errorf("identifier %s at %v is unresolved", id.Name, id.Pos())
+			} else if res.Info.UseOf(id) != sym {
+				t.Errorf("identifier %s at %v: UseOf and Uses disagree", id.Name, id.Pos())
+			}
+			got[id] = sym
+		}
+		return true
+	})
+	fresh, err := sem.Analyze(res.Program)
+	if err != nil {
+		t.Fatalf("re-analyze: %v", err)
+	}
+	for id, sym := range got {
+		want := fresh.Uses[id]
+		if sym == nil || want == nil {
+			continue
+		}
+		if sym.SymName() != want.SymName() || sym.SymPos() != want.SymPos() {
+			t.Errorf("identifier %s at %v resolves to %s@%v, fresh analysis says %s@%v",
+				id.Name, id.Pos(), sym.SymName(), sym.SymPos(), want.SymName(), want.SymPos())
 		}
 	}
 }
