@@ -436,6 +436,9 @@ func (s *Session) Run() (*Outcome, error) {
 
 // runTopDown is the paper's traversal: descend into the first incorrect
 // child; when no retained child is incorrect, the current unit is buggy.
+// A root without retained children is handled like one whose children
+// were all judged correct: blamed under the symptom premise,
+// inconclusive without it.
 func (s *Session) runTopDown() (*exectree.Node, error) {
 	current := s.Tree.Root
 	if current == nil {
@@ -459,11 +462,8 @@ func (s *Session) runTopDown() (*exectree.Node, error) {
 			break
 		}
 		if !descended {
-			if current.IsRoot() && len(s.children(current)) == 0 {
-				return nil, fmt.Errorf("debugger: nothing to search (empty view)")
-			}
 			if current.IsRoot() && s.Opts.NoRootAssumption {
-				// Every child of the program block was judged correct
+				// No child of the program block was judged incorrect
 				// and the symptom premise is disabled: inconclusive.
 				return nil, nil
 			}

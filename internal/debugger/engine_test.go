@@ -1,6 +1,7 @@
 package debugger_test
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -469,6 +470,50 @@ func TestAllCorrectProgramBehavior(t *testing.T) {
 	}
 	if out2.Localized() {
 		t.Errorf("localized %v in a correct program without the premise", out2.Bug.Unit.Name)
+	}
+}
+
+// TestChildlessRootAllStrategies pins the fix for a wrong program block
+// with no children (testdata/childless_root.pas, a mutant whose only
+// call was dropped). Top-down used to fail with an empty-view error;
+// now every strategy blames the program body without a question under
+// the symptom premise, and ends inconclusive without it.
+func TestChildlessRootAllStrategies(t *testing.T) {
+	load := func(file string) *transform.Result {
+		src, err := os.ReadFile("../../testdata/" + file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tres, err := transform.Apply(analyze(t, string(src)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tres
+	}
+	buggy, fixed := load("childless_root.pas"), load("childless_root_fixed.pas")
+	res := traceTransformed(t, buggy, "")
+	if len(res.Tree.Root.Children) != 0 {
+		t.Fatalf("fixture root has %d children, want none", len(res.Tree.Root.Children))
+	}
+	for _, strat := range debugger.Strategies() {
+		for _, noRoot := range []bool{false, true} {
+			sess := debugger.New(res.Tree, &debugger.IntendedOracle{Ref: fixed.Info}, debugger.Options{
+				Strategy: strat, Slicing: true, Meta: buggy, NoRootAssumption: noRoot,
+			})
+			out, err := sess.Run()
+			if err != nil {
+				t.Fatalf("%s (no-root %v): %v", strat, noRoot, err)
+			}
+			if out.Questions != 0 {
+				t.Errorf("%s (no-root %v): %d questions, want 0", strat, noRoot, out.Questions)
+			}
+			if noRoot && out.Localized() {
+				t.Errorf("%s: localized %s without the symptom premise", strat, out.Bug.Unit.Name)
+			}
+			if !noRoot && (!out.Localized() || !out.Bug.IsRoot()) {
+				t.Errorf("%s: bug = %v, want the program body\n%s", strat, out.Bug, transcript(out))
+			}
+		}
 	}
 }
 

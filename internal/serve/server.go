@@ -169,7 +169,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 func statusForCode(code string) int {
 	switch code {
 	case CodeParseError, CodeSemError, CodeTransformError,
-		CodeFuelExhausted, CodeDepthExhausted, CodeEmptyTree, CodeNothingToDebug:
+		CodeFuelExhausted, CodeDepthExhausted, CodeEmptyTree:
 		return http.StatusUnprocessableEntity
 	case CodeNotFound:
 		return http.StatusNotFound

@@ -278,14 +278,8 @@ func (s *Session) finish(out *debugger.Outcome, err error) {
 	}
 	if err != nil {
 		code, status := CodeDebugFailed, http.StatusInternalServerError
-		switch {
-		case isBudgetError(err):
+		if isBudgetError(err) {
 			code, status = CodeQuestionsBudget, http.StatusConflict
-		case strings.Contains(err.Error(), "nothing to search"):
-			// A trivial or fully-pruned program leaves the debugger with
-			// an empty search view — a property of the submission, not a
-			// server fault.
-			code, status = CodeNothingToDebug, http.StatusUnprocessableEntity
 		}
 		s.failure = errf(status, code, "debugging failed: %v", err)
 		s.outcome = out

@@ -139,7 +139,6 @@ const (
 	CodeFuelExhausted   = "fuel_exhausted"
 	CodeDepthExhausted  = "depth_exhausted"
 	CodeEmptyTree       = "empty_tree"
-	CodeNothingToDebug  = "nothing_to_debug"
 	CodeNotFound        = "session_not_found"
 	CodeFinished        = "session_finished"
 	CodeEvicted         = "session_evicted"
