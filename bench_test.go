@@ -85,7 +85,7 @@ func BenchmarkTraceSqrtest(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run, err := sys.Trace("")
+		run, err := sys.Trace(gadt.TraceOpts{})
 		if err != nil || run.RunErr != nil {
 			b.Fatalf("%v / %v", err, run.RunErr)
 		}
@@ -101,7 +101,10 @@ func BenchmarkTraceSynthetic(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				run := sys.TraceOriginal("")
+				run, err := sys.Trace(gadt.TraceOpts{Original: true})
+				if err != nil {
+					b.Fatal(err)
+				}
 				if run.RunErr != nil {
 					b.Fatal(run.RunErr)
 				}
@@ -198,7 +201,10 @@ func BenchmarkTGenClassify(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := sys.TraceOriginal("")
+	run, err := sys.Trace(gadt.TraceOpts{Original: true})
+	if err != nil {
+		b.Fatal(err)
+	}
 	var arrsum *exectree.Node
 	run.Tree.Walk(func(n *exectree.Node) bool {
 		if n.Unit.Name == "arrsum" {
@@ -273,7 +279,10 @@ func benchDynamicSlice(b *testing.B, unit, output string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := sys.TraceOriginal("")
+	run, err := sys.Trace(gadt.TraceOpts{Original: true})
+	if err != nil {
+		b.Fatal(err)
+	}
 	var target *exectree.Node
 	run.Tree.Walk(func(n *exectree.Node) bool {
 		if target == nil && n.Unit.Name == unit {
@@ -299,7 +308,11 @@ func benchDebug(b *testing.B, strat debugger.Strategy, slicing, tests bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	oracle, err := gadt.IntendedOracleOriginal(paper.SqrtestFixed)
+	ref, err := gadt.Load("reference.pas", paper.SqrtestFixed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	oracle, err := ref.Oracle(gadt.TraceOpts{Original: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -313,7 +326,10 @@ func benchDebug(b *testing.B, strat debugger.Strategy, slicing, tests bool) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run := sys.TraceOriginal("")
+		run, err := sys.Trace(gadt.TraceOpts{Original: true})
+		if err != nil {
+			b.Fatal(err)
+		}
 		out, err := run.Debug(oracle, gadt.DebugConfig{Strategy: strat, Slicing: slicing, Tests: lookup})
 		if err != nil {
 			b.Fatal(err)
@@ -366,13 +382,20 @@ func BenchmarkDebugSynthetic(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		oracle, err := gadt.IntendedOracleOriginal(p.Fixed)
+		ref, err := gadt.Load("reference.pas", p.Fixed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		oracle, err := ref.Oracle(gadt.TraceOpts{Original: true})
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				run := sys.TraceOriginal("")
+				run, err := sys.Trace(gadt.TraceOpts{Original: true})
+				if err != nil {
+					b.Fatal(err)
+				}
 				out, err := run.Debug(oracle, gadt.DebugConfig{Slicing: true})
 				if err != nil || !out.Localized() {
 					b.Fatalf("%v / %v", err, out)

@@ -71,7 +71,7 @@ func session(s subject, strat debugger.Strategy, reg *obs.Registry) (*debugger.O
 	if err != nil {
 		return nil, err
 	}
-	run, err := sys.Trace("")
+	run, err := sys.Trace(gadt.TraceOpts{})
 	if err != nil {
 		return nil, err
 	}

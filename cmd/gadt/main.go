@@ -203,14 +203,9 @@ func run(file string, o options) (err error) {
 		}
 	}
 
-	var run *gadt.Run
-	if o.transform {
-		run, err = sys.Trace(o.input)
-		if err != nil {
-			return err
-		}
-	} else {
-		run = sys.TraceOriginal(o.input)
+	run, err := sys.Trace(gadt.TraceOpts{Input: o.input, Original: !o.transform})
+	if err != nil {
+		return err
 	}
 	fmt.Fprintf(w, "program output:\n%s", run.Output)
 	if run.RunErr != nil {
@@ -278,12 +273,11 @@ func run(file string, o options) (err error) {
 		if err != nil {
 			return err
 		}
-		if o.transform {
-			oracle, err = gadt.IntendedOracle(string(refSrc))
-		} else {
-			oracle, err = gadt.IntendedOracleOriginal(string(refSrc))
-		}
+		ref, err := gadt.Load(o.reference, string(refSrc))
 		if err != nil {
+			return fmt.Errorf("reference: %w", err)
+		}
+		if oracle, err = ref.Oracle(gadt.TraceOpts{Original: !o.transform}); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "\nanswering queries from the reference implementation %s\n", o.reference)

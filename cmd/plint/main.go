@@ -33,9 +33,8 @@ import (
 
 	"gadt/internal/analysis/absint"
 	"gadt/internal/analysis/lint"
+	"gadt/internal/gadt"
 	"gadt/internal/obs"
-	"gadt/internal/pascal/parser"
-	"gadt/internal/pascal/sem"
 )
 
 func main() {
@@ -91,20 +90,14 @@ func main() {
 				failed = true
 				continue
 			}
-			prog, err := parser.ParseProgram(file, string(src))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "plint: %s: %v\n", file, err)
-				failed = true
-				continue
-			}
-			info, err := sem.Analyze(prog)
+			sys, err := gadt.Load(file, string(src))
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "plint: %s: %v\n", file, err)
 				failed = true
 				continue
 			}
 			fmt.Printf("== %s ==\n", file)
-			fmt.Print(absint.Analyze(info).Dump())
+			fmt.Print(absint.Analyze(sys.Info).Dump())
 		}
 		if failed {
 			os.Exit(1)

@@ -94,23 +94,18 @@ func run(file string, o options) (err error) {
 	if err != nil {
 		return err
 	}
-	var r *gadt.Run
-	if o.original {
-		r = sys.TraceOriginal(o.input)
-	} else {
-		r, err = sys.Trace(o.input)
+	r, err := sys.Trace(gadt.TraceOpts{Input: o.input, Original: o.original})
+	if err != nil {
+		return err
+	}
+	if !o.original && o.showSrc {
+		xsrc, err := sys.TransformedSource()
 		if err != nil {
 			return err
 		}
-		if o.showSrc {
-			xsrc, err := sys.TransformedSource()
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(out, "--- transformed program ---")
-			fmt.Fprint(out, xsrc)
-			fmt.Fprintln(out, "---")
-		}
+		fmt.Fprintln(out, "--- transformed program ---")
+		fmt.Fprint(out, xsrc)
+		fmt.Fprintln(out, "---")
 	}
 	fmt.Fprintf(out, "program output:\n%s", r.Output)
 	if r.RunErr != nil {

@@ -23,7 +23,7 @@ func main() {
 
 	// 2. Phases 1–2: transform away side effects, run, build the
 	//    execution tree and the dynamic dependence graph.
-	run, err := sys.Trace("")
+	run, err := sys.Trace(gadt.TraceOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -60,7 +60,10 @@ func dynamicSlices() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	run := sys.TraceOriginal("")
+	run, err := sys.Trace(gadt.TraceOpts{Original: true})
+	if err != nil {
+		log.Fatal(err)
+	}
 	find := func(unit string) *exectree.Node {
 		var out *exectree.Node
 		run.Tree.Walk(func(n *exectree.Node) bool {

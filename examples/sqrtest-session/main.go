@@ -29,12 +29,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	run := sys.TraceOriginal("") // Figure 4 is already side-effect free
+	run, err := sys.Trace(gadt.TraceOpts{Original: true}) // Figure 4 is already side-effect free
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("=== execution tree (Figure 7) ===")
 	run.Tree.Render(logWriter{}, nil, nil)
 
-	oracle, err := gadt.IntendedOracleOriginal(paper.SqrtestFixed)
+	ref, err := gadt.Load("reference.pas", paper.SqrtestFixed)
+	if err != nil {
+		log.Fatal(err)
+	}
+	oracle, err := ref.Oracle(gadt.TraceOpts{Original: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -38,8 +38,11 @@ func show(title, src, input string) {
 	fmt.Print(printer.Print(res.Program))
 
 	// Behavior is preserved.
-	orig := sys.TraceOriginal(input)
-	xform, err := sys.Trace(input)
+	orig, err := sys.Trace(gadt.TraceOpts{Input: input, Original: true})
+	if err != nil {
+		log.Fatal(err)
+	}
+	xform, err := sys.Trace(gadt.TraceOpts{Input: input})
 	if err != nil {
 		log.Fatal(err)
 	}

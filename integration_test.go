@@ -39,8 +39,11 @@ func TestPipelineMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			orig := sys.TraceOriginal("")
-			run, err := sys.Trace("")
+			orig, err := sys.Trace(gadt.TraceOpts{Original: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := sys.Trace(gadt.TraceOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +88,7 @@ func TestDeepProgramScales(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := sys.Trace("")
+	run, err := sys.Trace(gadt.TraceOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +134,11 @@ func TestAllPaperProgramsThroughPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			orig := sys.TraceOriginal(s.input)
-			run, err := sys.Trace(s.input)
+			orig, err := sys.Trace(gadt.TraceOpts{Input: s.input, Original: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := sys.Trace(gadt.TraceOpts{Input: s.input})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -92,7 +92,7 @@ func TestEnvForNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := exectree.Trace(info, "")
+	res := exectree.TraceWith(info, exectree.TraceOpts{})
 	var arrsum, dec *exectree.Node
 	res.Tree.Walk(func(n *exectree.Node) bool {
 		switch n.Unit.Name {
@@ -125,7 +125,7 @@ func TestDBJudge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := exectree.Trace(info, "")
+	res := exectree.TraceWith(info, exectree.TraceOpts{})
 	var arrsum, dec, sq *exectree.Node
 	res.Tree.Walk(func(n *exectree.Node) bool {
 		switch n.Unit.Name {
@@ -175,7 +175,7 @@ func TestDBJudge(t *testing.T) {
 func TestMultipleAssertionsAnyViolationWins(t *testing.T) {
 	prog := parser.MustParse("t.pas", paper.Sqrtest)
 	info, _ := sem.Analyze(prog)
-	res := exectree.Trace(info, "")
+	res := exectree.TraceWith(info, exectree.TraceOpts{})
 	var arrsum *exectree.Node
 	res.Tree.Walk(func(n *exectree.Node) bool {
 		if n.Unit.Name == "arrsum" {

@@ -64,7 +64,7 @@ func harvestTrace(t *testing.T, src string) *exectree.Tree {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := exectree.Trace(info, "")
+	res := exectree.TraceWith(info, exectree.TraceOpts{})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}

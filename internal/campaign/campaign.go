@@ -304,7 +304,7 @@ func buildJobs(cfg Config) (jobs []job, preclassified []MutantOutcome, subjectEr
 			continue
 		}
 		want := ref.Output
-		oracle, werr := ref.System.Oracle(cfg.Fuel)
+		oracle, werr := ref.System.Oracle(gadt.TraceOpts{MaxSteps: cfg.Fuel})
 		if werr != nil {
 			subjectErrs = append(subjectErrs, fmt.Sprintf("%s: %v", s.Name, werr))
 			continue
@@ -377,7 +377,7 @@ func referenceRun(s Subject, cfg Config) (*gadt.Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	run, err := sys.TraceLimited(s.Input, cfg.Fuel, cfg.MaxDepth)
+	run, err := sys.Trace(gadt.TraceOpts{Input: s.Input, MaxSteps: cfg.Fuel, MaxDepth: cfg.MaxDepth})
 	if err != nil {
 		return nil, err
 	}
@@ -472,7 +472,7 @@ func eval(cfg Config, j job) MutantOutcome {
 		// traced run, which the debugging phase needs anyway.
 	}
 
-	run, err := sys.TraceLimited(j.subject.Input, cfg.Fuel, cfg.MaxDepth)
+	run, err := sys.Trace(gadt.TraceOpts{Input: j.subject.Input, MaxSteps: cfg.Fuel, MaxDepth: cfg.MaxDepth})
 	if err != nil {
 		o.Status, o.Detail = StatusStillborn, err.Error()
 		return o

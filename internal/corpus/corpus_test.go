@@ -18,14 +18,17 @@ func TestCorpusMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("load: %v", err)
 			}
-			orig := sys.TraceOriginal(p.Input)
+			orig, err := sys.Trace(gadt.TraceOpts{Input: p.Input, Original: true})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if orig.RunErr != nil {
 				t.Fatalf("run: %v", orig.RunErr)
 			}
 			if orig.Output != p.Want {
 				t.Fatalf("output = %q, want %q", orig.Output, p.Want)
 			}
-			run, err := sys.Trace(p.Input)
+			run, err := sys.Trace(gadt.TraceOpts{Input: p.Input})
 			if err != nil {
 				t.Fatalf("transform+trace: %v", err)
 			}
@@ -54,7 +57,7 @@ func TestCorpusBugsLocalized(t *testing.T) {
 			if err != nil {
 				t.Fatalf("load: %v", err)
 			}
-			run, err := sys.Trace(p.Input)
+			run, err := sys.Trace(gadt.TraceOpts{Input: p.Input})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -20,7 +20,7 @@ func benchTree(b *testing.B) *exectree.Tree {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res := exectree.Trace(info, "")
+	res := exectree.TraceWith(info, exectree.TraceOpts{})
 	if res.Err != nil {
 		b.Fatal(res.Err)
 	}

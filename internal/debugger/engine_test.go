@@ -9,6 +9,7 @@ import (
 	"gadt/internal/debugger"
 	"gadt/internal/exectree"
 	"gadt/internal/paper"
+	"gadt/internal/pascal/interp"
 	"gadt/internal/pascal/parser"
 	"gadt/internal/pascal/sem"
 	"gadt/internal/slicing/dynamic"
@@ -29,7 +30,7 @@ func traceIt(t *testing.T, src string) (*exectree.TraceResult, *dynamic.Recorder
 	t.Helper()
 	info := analyze(t, src)
 	rec := dynamic.NewRecorder(info)
-	res := exectree.Trace(info, "", rec)
+	res := exectree.TraceWith(info, exectree.TraceOpts{Extra: []interp.EventSink{rec}})
 	if res.Err != nil {
 		t.Fatalf("trace: %v", res.Err)
 	}
@@ -298,7 +299,7 @@ func TestTransformedProgramDebugging(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := dynamic.NewRecorder(tbuggy.Info)
-	res := exectree.Trace(tbuggy.Info, "", rec)
+	res := exectree.TraceWith(tbuggy.Info, exectree.TraceOpts{Extra: []interp.EventSink{rec}})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -344,7 +345,7 @@ func TestLoopUnitQueryRendering(t *testing.T) {
 
 func traceTransformed(t *testing.T, tres *transform.Result, input string) *exectree.TraceResult {
 	t.Helper()
-	res := exectree.Trace(tres.Info, input)
+	res := exectree.TraceWith(tres.Info, exectree.TraceOpts{Input: input})
 	if res.Err != nil {
 		t.Fatalf("trace: %v", res.Err)
 	}
@@ -369,7 +370,7 @@ func TestExitConditionRendering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := exectree.Trace(tres.Info, "")
+	res := exectree.TraceWith(tres.Info, exectree.TraceOpts{})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -400,7 +401,7 @@ func TestGlobalDisplayedAsIn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := exectree.Trace(tres.Info, "")
+	res := exectree.TraceWith(tres.Info, exectree.TraceOpts{})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}

@@ -27,10 +27,10 @@ import (
 	"time"
 
 	"gadt/internal/corpus"
+	"gadt/internal/gadt"
 	"gadt/internal/obs"
 	"gadt/internal/pascal/backend"
 	"gadt/internal/pascal/interp"
-	"gadt/internal/pascal/parser"
 	"gadt/internal/pascal/sem"
 	"gadt/internal/pascal/vm"
 	"gadt/internal/progen"
@@ -529,17 +529,36 @@ type delta struct {
 	detail string
 }
 
+// load parses and analyzes the subject; a program that does not
+// compile is the "invalid" verdict of every comparison.
+func load(s Subject) (*sem.Info, *delta) {
+	sys, err := gadt.Load(s.Name+".pas", s.Source)
+	if err != nil {
+		return nil, &delta{kind: "invalid", detail: err.Error()}
+	}
+	return sys.Info, nil
+}
+
+// applyStages transforms the analyzed subject. A goto that exits a
+// function is a documented rejection (Section 6), not a bug.
+func applyStages(info *sem.Info, stages transform.Stages) (*transform.Result, *delta) {
+	res, err := transform.ApplyStages(info, stages)
+	if err != nil {
+		if strings.Contains(err.Error(), "non-local goto") {
+			return nil, &delta{kind: "rejected", detail: err.Error()}
+		}
+		return nil, &delta{kind: "transform", detail: err.Error()}
+	}
+	return res, nil
+}
+
 // diff performs the actual differential comparison for one subject and
 // stage combination; nil means the behaviors agree. The shrinker calls
 // this directly to re-check candidate reductions.
 func diff(cfg Config, s Subject, stages transform.Stages) *delta {
-	prog, err := parser.ParseProgram(s.Name+".pas", s.Source)
-	if err != nil {
-		return &delta{kind: "invalid", detail: err.Error()}
-	}
-	info, err := sem.Analyze(prog)
-	if err != nil {
-		return &delta{kind: "invalid", detail: err.Error()}
+	info, d := load(s)
+	if d != nil {
+		return d
 	}
 	keep := globalNames(info)
 
@@ -556,14 +575,9 @@ func diff(cfg Config, s Subject, stages transform.Stages) *delta {
 		return &delta{kind: "fuel", detail: "untransformed run exhausted its budget"}
 	}
 
-	res, err := transform.ApplyStages(info, stages)
-	if err != nil {
-		if strings.Contains(err.Error(), "non-local goto") {
-			// The paper's transformation cannot break a goto that exits
-			// a function (Section 6): a documented rejection, not a bug.
-			return &delta{kind: "rejected", detail: err.Error()}
-		}
-		return &delta{kind: "transform", detail: err.Error()}
+	res, d := applyStages(info, stages)
+	if d != nil {
+		return d
 	}
 
 	// 8x fuel and 10x call depth: loop extraction turns iteration into
@@ -608,23 +622,16 @@ func diff(cfg Config, s Subject, stages transform.Stages) *delta {
 // the bytecode compiler refuses (non-local gotos) are rejected — that
 // is the documented interpreter-fallback territory, not a divergence.
 func diffBackends(cfg Config, s Subject, full bool) *delta {
-	prog, err := parser.ParseProgram(s.Name+".pas", s.Source)
-	if err != nil {
-		return &delta{kind: "invalid", detail: err.Error()}
-	}
-	info, err := sem.Analyze(prog)
-	if err != nil {
-		return &delta{kind: "invalid", detail: err.Error()}
+	info, d := load(s)
+	if d != nil {
+		return d
 	}
 
 	runInfo, fuel, depth := info, cfg.Fuel, baseMaxDepth
 	if full {
-		res, terr := transform.ApplyStages(info, transform.AllStages())
-		if terr != nil {
-			if strings.Contains(terr.Error(), "non-local goto") {
-				return &delta{kind: "rejected", detail: terr.Error()}
-			}
-			return &delta{kind: "transform", detail: terr.Error()}
+		res, d := applyStages(info, transform.AllStages())
+		if d != nil {
+			return d
 		}
 		runInfo, fuel, depth = res.Info, 8*cfg.Fuel, 10*baseMaxDepth
 	}

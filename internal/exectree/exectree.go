@@ -241,14 +241,6 @@ func (b *Builder) Tree() *Tree {
 	return &Tree{Root: b.root, Nodes: b.nodes, byID: b.byID}
 }
 
-// Current returns the node currently executing (innermost open call).
-func (b *Builder) Current() *Node {
-	if len(b.stack) == 0 {
-		return nil
-	}
-	return b.stack[len(b.stack)-1]
-}
-
 // TraceResult bundles a built tree with the run outcome.
 type TraceResult struct {
 	Tree   *Tree
@@ -257,38 +249,26 @@ type TraceResult struct {
 	Steps  int
 }
 
-// Trace executes an analyzed program and builds its execution tree.
-// Extra sinks (e.g. the dynamic dependence recorder) receive the same
-// event stream. A runtime error does not discard the partial tree.
-func Trace(info *sem.Info, input string, extra ...interp.EventSink) *TraceResult {
-	return TraceObserved(info, input, nil, extra...)
-}
-
-// TraceObserved is Trace with metrics: the registry (nil allowed)
-// receives the interpreter's execution counters plus the tree-shape
-// gauges exectree.nodes and exectree.depth.max.
-func TraceObserved(info *sem.Info, input string, metrics *obs.Registry, extra ...interp.EventSink) *TraceResult {
-	return TraceWith(info, TraceOpts{Input: input, Metrics: metrics, Extra: extra})
-}
-
-// TraceOpts configures TraceWith beyond the common defaults.
+// TraceOpts configures TraceWith.
 type TraceOpts struct {
-	Input   string
+	Input string
+	// Metrics (nil allowed) receives the interpreter's execution
+	// counters plus the tree-shape gauges exectree.nodes and
+	// exectree.depth.max.
 	Metrics *obs.Registry
-	Extra   []interp.EventSink
+	// Extra sinks (e.g. the dynamic dependence recorder) receive the
+	// same event stream as the tree builder.
+	Extra []interp.EventSink
 
 	// MaxSteps and MaxDepth bound the traced execution (<= 0 uses the
-	// interpreter defaults). The mutation campaign sets tight budgets so
-	// mutants with planted infinite loops or runaway recursion stop with
-	// interp.ErrFuelExhausted (resp. a depth error) and a bounded tree
-	// instead of hanging the worker.
+	// interpreter defaults).
 	MaxSteps int
 	MaxDepth int
 }
 
-// TraceWith executes an analyzed program under explicit resource limits
-// and builds its execution tree. A resource-limit or runtime error does
-// not discard the partial tree.
+// TraceWith executes an analyzed program and builds its execution
+// tree. A resource-limit or runtime error does not discard the partial
+// tree. Outside tests, gadt.(*System).Trace is its only caller.
 func TraceWith(info *sem.Info, o TraceOpts) *TraceResult {
 	b := NewBuilder()
 	sinks := append(interp.MultiSink{b}, o.Extra...)

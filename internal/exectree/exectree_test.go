@@ -19,7 +19,7 @@ func trace(t *testing.T, src, input string) *exectree.TraceResult {
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
-	res := exectree.Trace(info, input)
+	res := exectree.TraceWith(info, exectree.TraceOpts{Input: input})
 	if res.Err != nil {
 		t.Fatalf("trace: %v", res.Err)
 	}
@@ -161,7 +161,7 @@ end.`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := exectree.Trace(info, "")
+	res := exectree.TraceWith(info, exectree.TraceOpts{})
 	if res.Err == nil {
 		t.Fatal("expected runtime error")
 	}

@@ -31,7 +31,7 @@ func TestRenderGoldenSqrtest(t *testing.T) {
 		if err != nil {
 			t.Fatalf("analyze: %v", err)
 		}
-		res := exectree.Trace(info, "")
+		res := exectree.TraceWith(info, exectree.TraceOpts{})
 		if res.Err != nil {
 			t.Fatalf("trace: %v", res.Err)
 		}

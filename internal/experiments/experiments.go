@@ -162,11 +162,10 @@ func RunBaseline() (string, error) {
 
 // RunS3 reproduces the Section 3 interaction session.
 func RunS3() (string, error) {
-	sys, err := gadt.Load("pqr.pas", paper.PQR)
+	run, err := traceOriginal("pqr.pas", paper.PQR)
 	if err != nil {
 		return "", err
 	}
-	run := sys.TraceOriginal("")
 	oracle := &debugger.ScriptedOracle{
 		ByUnit: map[string]debugger.Answer{
 			"p": {Verdict: debugger.Incorrect},
@@ -186,11 +185,10 @@ func RunS3() (string, error) {
 
 // RunF7 prints the execution tree of the sqrtest program.
 func RunF7() (string, error) {
-	sys, err := gadt.Load("sqrtest.pas", paper.Sqrtest)
+	run, err := traceOriginal("sqrtest.pas", paper.Sqrtest)
 	if err != nil {
 		return "", err
 	}
-	run := sys.TraceOriginal("")
 	var b strings.Builder
 	fmt.Fprintf(&b, "program output: %s", run.Output)
 	fmt.Fprintf(&b, "execution tree (%d nodes):\n", run.Tree.Size())
@@ -199,11 +197,10 @@ func RunF7() (string, error) {
 }
 
 func slicedTree(unit, output string) (string, error) {
-	sys, err := gadt.Load("sqrtest.pas", paper.Sqrtest)
+	run, err := traceOriginal("sqrtest.pas", paper.Sqrtest)
 	if err != nil {
 		return "", err
 	}
-	run := sys.TraceOriginal("")
 	var target *exectree.Node
 	run.Tree.Walk(func(n *exectree.Node) bool {
 		if target == nil && n.Unit.Name == unit {
@@ -255,8 +252,11 @@ func RunS6() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		orig := sys.TraceOriginal("")
-		xform, err := sys.Trace("")
+		orig, err := sys.Trace(gadt.TraceOpts{Original: true})
+		if err != nil {
+			return "", err
+		}
+		xform, err := sys.Trace(gadt.TraceOpts{})
 		if err != nil {
 			return "", err
 		}
@@ -365,12 +365,11 @@ func RunS8() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sys, err := gadt.Load("sqrtest.pas", paper.Sqrtest)
+	run, err := traceOriginal("sqrtest.pas", paper.Sqrtest)
 	if err != nil {
 		return "", err
 	}
-	run := sys.TraceOriginal("")
-	oracle, err := gadt.IntendedOracleOriginal(paper.SqrtestFixed)
+	oracle, err := originalOracle(paper.SqrtestFixed)
 	if err != nil {
 		return "", err
 	}
@@ -437,7 +436,7 @@ func RunInteractions() (string, error) {
 			if err != nil {
 				return err
 			}
-			run, err := sys.Trace("")
+			run, err := sys.Trace(gadt.TraceOpts{})
 			if err != nil {
 				return err
 			}
@@ -564,12 +563,11 @@ func RunMultiBug() (string, error) {
 		"square":    "r2 := y * y + 1; (* second planted bug *)",
 	}
 	for cycle := 1; cycle <= 3; cycle++ {
-		sys, err := gadt.Load("multibug.pas", src)
+		run, err := traceOriginal("multibug.pas", src)
 		if err != nil {
 			return "", err
 		}
-		run := sys.TraceOriginal("")
-		oracle, err := gadt.IntendedOracleOriginal(fullyFixed)
+		oracle, err := originalOracle(fullyFixed)
 		if err != nil {
 			return "", err
 		}
@@ -627,7 +625,7 @@ func RunTraversal() (string, error) {
 			if err != nil {
 				return "", err
 			}
-			run, err := sys.Trace("")
+			run, err := sys.Trace(gadt.TraceOpts{})
 			if err != nil {
 				return "", err
 			}
@@ -686,12 +684,11 @@ func RunAblation() (string, error) {
 		{"GADT (tests+assertions+slicing)", gadt.DebugConfig{Tests: lookup, Assertions: db, Slicing: true}},
 	}
 	for _, c := range cfgs {
-		sys, err := gadt.Load("sqrtest.pas", paper.Sqrtest)
+		run, err := traceOriginal("sqrtest.pas", paper.Sqrtest)
 		if err != nil {
 			return "", err
 		}
-		run := sys.TraceOriginal("")
-		oracle, err := gadt.IntendedOracleOriginal(paper.SqrtestFixed)
+		oracle, err := originalOracle(paper.SqrtestFixed)
 		if err != nil {
 			return "", err
 		}
@@ -804,7 +801,7 @@ func HintsData() ([]HintsRow, error) {
 				if err != nil {
 					return nil, err
 				}
-				run, err := sys.Trace(s.input)
+				run, err := sys.Trace(gadt.TraceOpts{Input: s.input})
 				if err != nil {
 					return nil, err
 				}
@@ -853,6 +850,26 @@ func RunHints() (string, error) {
 }
 
 // ---------------------------------------------------------------------------
+
+// traceOriginal loads a program and traces it as written, without the
+// transformation phase (the paper's figure programs need none).
+func traceOriginal(file, src string) (*gadt.Run, error) {
+	sys, err := gadt.Load(file, src)
+	if err != nil {
+		return nil, err
+	}
+	return sys.Trace(gadt.TraceOpts{Original: true})
+}
+
+// originalOracle answers from the untransformed reference, for sessions
+// over traceOriginal runs.
+func originalOracle(refSource string) (debugger.Oracle, error) {
+	ref, err := gadt.Load("reference.pas", refSource)
+	if err != nil {
+		return nil, fmt.Errorf("reference: %w", err)
+	}
+	return ref.Oracle(gadt.TraceOpts{Original: true})
+}
 
 // renderSession renders a debugging transcript the way the paper prints
 // interaction sessions (system output bold in the paper; plain here).

@@ -15,11 +15,16 @@
 // Typical use:
 //
 //	sys, err := gadt.Load("bug.pas", source)
-//	run, err := sys.Trace("")                       // phases 1–2
-//	out, err := run.Debug(oracle, gadt.DebugConfig{ // phase 3
+//	run, err := sys.Trace(gadt.TraceOpts{Input: input}) // phases 1–2
+//	ref, err := gadt.Load("fixed.pas", fixedSource)
+//	oracle, err := ref.Oracle(gadt.TraceOpts{})         // intended semantics
+//	out, err := run.Debug(oracle, gadt.DebugConfig{     // phase 3
 //	    Slicing: true,
 //	})
 //	if out.Localized() { fmt.Println(out.Reason) }
+//
+// Set TraceOpts.Original on both the trace and the oracle to debug the
+// program as written, without the transformation phase.
 package gadt
 
 import (
@@ -48,7 +53,7 @@ type System struct {
 	Info *sem.Info
 
 	// Transformed is the transformation-phase result, computed lazily by
-	// Trace (or eagerly by Transform).
+	// the first transformed Trace or Oracle (or eagerly by Transform).
 	Transformed *transform.Result
 
 	// Metrics and Tracer, when non-nil, observe every phase run through
@@ -133,8 +138,9 @@ func (s *System) LintHints() map[string]float64 {
 	return lint.Hints(s.Lint(lint.Options{}))
 }
 
-// Run is a completed tracing phase: the execution tree of the
-// transformed program plus the dynamic dependence graph.
+// Run is a completed tracing phase: the execution tree of the program
+// (transformed unless TraceOpts.Original) plus the dynamic dependence
+// graph.
 type Run struct {
 	System   *System
 	Tree     *exectree.Tree
@@ -144,47 +150,51 @@ type Run struct {
 	Steps    int
 }
 
-// Trace runs phases 1–2: transform (if not yet done) and execute with
-// tracing. A runtime error in the subject program is reported in
-// Run.RunErr but still yields the partial tree (crashes are debuggable).
-func (s *System) Trace(input string) (*Run, error) {
-	res, err := s.Transform()
-	if err != nil {
-		return nil, err
-	}
-	rec := dynamic.NewRecorder(res.Info)
-	sp := s.Tracer.Start("trace")
-	tr := exectree.TraceObserved(res.Info, input, s.Metrics, rec)
-	sp.End()
-	rec.RecordMetrics(s.Metrics)
-	return &Run{
-		System:   s,
-		Tree:     tr.Tree,
-		Recorder: rec,
-		Output:   tr.Output,
-		RunErr:   tr.Err,
-		Steps:    tr.Steps,
-	}, nil
+// TraceOpts configures a tracing phase. Oracle reads MaxSteps and
+// Original only.
+type TraceOpts struct {
+	Input string
+	// MaxSteps and MaxDepth bound the execution: it stops with
+	// interp.ErrFuelExhausted after MaxSteps statements and errors past
+	// MaxDepth call depth (<= 0 uses interpreter defaults), so a planted
+	// infinite loop yields a bounded partial tree, not a hung worker.
+	MaxSteps int
+	MaxDepth int
+	// Original skips the transformation phase and traces the program as
+	// written (no loop units, no goto/global rewrites).
+	Original bool
 }
 
-// TraceLimited is Trace under explicit resource budgets: the traced
-// execution stops with interp.ErrFuelExhausted after maxSteps statements
-// and errors past maxDepth call depth (<= 0 uses interpreter defaults).
-// The mutation campaign uses it so a mutant with a planted infinite loop
-// yields a bounded partial tree instead of hanging a worker.
-func (s *System) TraceLimited(input string, maxSteps, maxDepth int) (*Run, error) {
+// traceInfo returns the analysis a trace or oracle executes: the
+// transformed program (transforming on first use) unless original.
+func (s *System) traceInfo(original bool) (*sem.Info, error) {
+	if original {
+		return s.Info, nil
+	}
 	res, err := s.Transform()
 	if err != nil {
 		return nil, err
 	}
-	rec := dynamic.NewRecorder(res.Info)
+	return res.Info, nil
+}
+
+// Trace runs phases 1–2: transform (unless o.Original; done once) and
+// execute with tracing. A runtime error in the subject program is
+// reported in Run.RunErr but still yields the partial tree (crashes are
+// debuggable).
+func (s *System) Trace(o TraceOpts) (*Run, error) {
+	info, err := s.traceInfo(o.Original)
+	if err != nil {
+		return nil, err
+	}
+	rec := dynamic.NewRecorder(info)
 	sp := s.Tracer.Start("trace")
-	tr := exectree.TraceWith(res.Info, exectree.TraceOpts{
-		Input:    input,
+	tr := exectree.TraceWith(info, exectree.TraceOpts{
+		Input:    o.Input,
 		Metrics:  s.Metrics,
 		Extra:    []interp.EventSink{rec},
-		MaxSteps: maxSteps,
-		MaxDepth: maxDepth,
+		MaxSteps: o.MaxSteps,
+		MaxDepth: o.MaxDepth,
 	})
 	sp.End()
 	rec.RecordMetrics(s.Metrics)
@@ -198,23 +208,9 @@ func (s *System) TraceLimited(input string, maxSteps, maxDepth int) (*Run, error
 	}, nil
 }
 
-// TraceOriginal traces the UNTRANSFORMED program (no loop units, no
-// goto/global rewrites). Useful for figure-faithful execution trees of
-// programs that are already side-effect free, and for comparisons.
-func (s *System) TraceOriginal(input string) *Run {
-	rec := dynamic.NewRecorder(s.Info)
-	sp := s.Tracer.Start("trace")
-	tr := exectree.TraceObserved(s.Info, input, s.Metrics, rec)
-	sp.End()
-	rec.RecordMetrics(s.Metrics)
-	return &Run{
-		System:   s,
-		Tree:     tr.Tree,
-		Recorder: rec,
-		Output:   tr.Output,
-		RunErr:   tr.Err,
-		Steps:    tr.Steps,
-	}
+// TraceLimited is Trace of the transformed program under budgets.
+func (s *System) TraceLimited(input string, maxSteps, maxDepth int) (*Run, error) {
+	return s.Trace(TraceOpts{Input: input, MaxSteps: maxSteps, MaxDepth: maxDepth})
 }
 
 // DebugConfig selects the debugging-phase components (Section 5.3).
@@ -282,15 +278,16 @@ func (r *Run) DebugWithFallback(oracle debugger.Oracle, cfg DebugConfig, verify 
 
 // Oracle builds an intended-semantics oracle from this system as the
 // reference implementation, transformed the same way as the subject so
-// unit names line up. maxSteps bounds each reference replay (<= 0 uses
-// the oracle's default). The oracle only reads the transformed analysis,
-// so one oracle can serve any number of concurrent sessions.
-func (s *System) Oracle(maxSteps int) (debugger.Oracle, error) {
-	res, err := s.Transform()
+// unit names line up (or untransformed, for traces with o.Original).
+// o.MaxSteps bounds each reference replay (<= 0 uses the oracle's
+// default). The oracle only reads the analysis, so one oracle can serve
+// any number of concurrent sessions.
+func (s *System) Oracle(o TraceOpts) (debugger.Oracle, error) {
+	info, err := s.traceInfo(o.Original)
 	if err != nil {
 		return nil, fmt.Errorf("gadt: reference: %w", err)
 	}
-	return &debugger.IntendedOracle{Ref: res.Info, MaxSteps: maxSteps}, nil
+	return &debugger.IntendedOracle{Ref: info, MaxSteps: o.MaxSteps}, nil
 }
 
 // IntendedOracle builds an oracle from a reference ("intended")
@@ -308,15 +305,5 @@ func IntendedOracleLimited(refSource string, maxSteps int) (debugger.Oracle, err
 	if err != nil {
 		return nil, fmt.Errorf("gadt: reference: %w", err)
 	}
-	return ref.Oracle(maxSteps)
-}
-
-// IntendedOracleOriginal is IntendedOracle without transformation, for
-// debugging untransformed traces.
-func IntendedOracleOriginal(refSource string) (debugger.Oracle, error) {
-	ref, err := Load("reference.pas", refSource)
-	if err != nil {
-		return nil, fmt.Errorf("gadt: reference: %w", err)
-	}
-	return &debugger.IntendedOracle{Ref: ref.Info}, nil
+	return ref.Oracle(TraceOpts{MaxSteps: maxSteps})
 }

@@ -15,7 +15,7 @@ func TestEndToEndSqrtest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := sys.Trace("")
+	run, err := sys.Trace(gadt.TraceOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,10 @@ func TestTraceOriginalMatchesFigure7(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := sys.TraceOriginal("")
+	run, err := sys.Trace(gadt.TraceOpts{Original: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if run.Tree.Size() != 14 {
 		t.Errorf("original tree size = %d, want 14", run.Tree.Size())
 	}
@@ -99,7 +102,7 @@ end.`
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := sys.Trace("")
+	run, err := sys.Trace(gadt.TraceOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +163,7 @@ end.`
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := sys.Trace("")
+	run, err := sys.Trace(gadt.TraceOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +231,7 @@ end.`
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := sys.Trace("")
+	run, err := sys.Trace(gadt.TraceOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +265,7 @@ func TestDebugWithFallbackNoRetryWhenAccepted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := sys.Trace("")
+	run, err := sys.Trace(gadt.TraceOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +294,7 @@ func TestDebugStrategiesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, strat := range []debugger.Strategy{debugger.TopDown, debugger.DivideAndQuery, debugger.BottomUp} {
-		run, err := sys.Trace("")
+		run, err := sys.Trace(gadt.TraceOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

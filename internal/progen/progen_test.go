@@ -31,8 +31,14 @@ func TestGeneratedProgramsRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cfg %+v: fixed does not load: %v", cfg, err)
 		}
-		rb := buggy.TraceOriginal("")
-		rf := fixed.TraceOriginal("")
+		rb, err := buggy.Trace(gadt.TraceOpts{Original: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rf, err := fixed.Trace(gadt.TraceOpts{Original: true})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if rb.RunErr != nil || rf.RunErr != nil {
 			t.Fatalf("cfg %+v: runtime errors %v / %v", cfg, rb.RunErr, rf.RunErr)
 		}
@@ -53,7 +59,7 @@ func TestBugLocalizableEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := sys.Trace("")
+		run, err := sys.Trace(gadt.TraceOpts{})
 		if err != nil {
 			t.Fatalf("cfg %+v: %v", cfg, err)
 		}

@@ -85,6 +85,21 @@ func TestFuelBombRejected(t *testing.T) {
 	if resp.Cache == nil || resp.Cache.Trace != "hit" {
 		t.Errorf("resubmitted bomb cache = %+v, want trace hit", resp.Cache)
 	}
+
+	// Untransformed, the loop runs in the program body under the same
+	// budget and is rejected the same way.
+	body, _ := json.Marshal(serve.CreateRequest{Program: fuelBomb, NoTransform: true})
+	status, raw = c.do("POST", "/v1/sessions", body)
+	if status != http.StatusUnprocessableEntity {
+		t.Fatalf("no_transform fuel bomb = %d, want 422\n%s", status, raw)
+	}
+	resp = serve.SessionResponse{}
+	if err := json.Unmarshal(raw, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.State != "failed" || resp.Error == nil || resp.Error.Code != serve.CodeFuelExhausted {
+		t.Fatalf("no_transform state=%s error=%+v, want failed/fuel_exhausted", resp.State, resp.Error)
+	}
 }
 
 func TestDepthBombRejected(t *testing.T) {

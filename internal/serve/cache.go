@@ -3,18 +3,14 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
-	"gadt/internal/analysis/lint"
-	"gadt/internal/exectree"
+	"gadt/internal/gadt"
 	"gadt/internal/obs"
-	"gadt/internal/pascal/interp"
 	"gadt/internal/pascal/parser"
-	"gadt/internal/pascal/sem"
-	"gadt/internal/slicing/dynamic"
-	"gadt/internal/transform"
 )
 
 // The content-addressed cache has two layers, both keyed by the
@@ -36,36 +32,14 @@ import (
 
 // Artifact is the input-independent pipeline product for one program.
 type Artifact struct {
-	Hash string // hex SHA-256 of the source
+	key string // artifactKey, the prefix of its traces' keys
 
-	// Info is the semantic analysis of the ORIGINAL program; Transformed
-	// is nil when the session asked for -no-transform.
-	Info        *sem.Info
-	Transformed *transform.Result
+	// System is the loaded program, already transformed unless the
+	// session asked for no_transform, so sessions only read it.
+	System *gadt.System
 
-	// Hints are the plint suspiciousness scores (nil when lint is off);
-	// LintDiags is kept for the session report.
-	Hints     map[string]float64
-	LintDiags []lint.Diagnostic
-}
-
-// TraceInfo returns the program analysis the tracing phase executes:
-// the transformed program when transformation ran, the original
-// otherwise.
-func (a *Artifact) TraceInfo() *sem.Info {
-	if a.Transformed != nil {
-		return a.Transformed.Info
-	}
-	return a.Info
-}
-
-// TraceArtifact is one cached traced execution.
-type TraceArtifact struct {
-	Tree     *exectree.Tree
-	Recorder *dynamic.Recorder
-	Output   string
-	RunErr   error
-	Steps    int
+	// Hints are the plint suspiciousness scores (nil when lint is off).
+	Hints map[string]float64
 }
 
 // hashProgram returns the hex SHA-256 of the source text.
@@ -173,10 +147,9 @@ func (c *Cache) Len() int {
 // Artifact returns (building if necessary) the artifact layer for the
 // program under the given pipeline flags.
 func (c *Cache) Artifact(file, src string, doTransform, doLint bool) (*Artifact, error, bool) {
-	hash := hashProgram(src)
-	key := artifactKey(hash, file, doTransform, doLint)
+	key := artifactKey(hashProgram(src), file, doTransform, doLint)
 	v, err, hit := c.getOrBuild("artifact", key, func() (any, error) {
-		return buildArtifact(hash, file, src, doTransform, doLint)
+		return buildArtifact(key, file, src, doTransform, doLint)
 	})
 	if err != nil {
 		return nil, err, hit
@@ -185,62 +158,43 @@ func (c *Cache) Artifact(file, src string, doTransform, doLint bool) (*Artifact,
 }
 
 // Trace returns (building if necessary) the traced execution of the
-// artifact's program on input under the given budgets.
-func (c *Cache) Trace(art *Artifact, file string, doTransform, doLint bool, input string, fuel, depth int) (*TraceArtifact, error, bool) {
-	key := traceKey(artifactKey(art.Hash, file, doTransform, doLint), input, fuel, depth)
-	v, err, hit := c.getOrBuild("trace", key, func() (any, error) {
-		return buildTrace(art, input, fuel, depth), nil
+// artifact's program on input under the given budgets. A runtime error
+// still yields the partial tree — crashes are debuggable — so it is
+// stored in the run, not returned. An untransformed artifact traces the
+// original program.
+func (c *Cache) Trace(art *Artifact, input string, fuel, depth int) (*gadt.Run, error, bool) {
+	v, err, hit := c.getOrBuild("trace", traceKey(art.key, input, fuel, depth), func() (any, error) {
+		return art.System.Trace(gadt.TraceOpts{
+			Input: input, MaxSteps: fuel, MaxDepth: depth,
+			Original: art.System.Transformed == nil,
+		})
 	})
 	if err != nil {
 		return nil, err, hit
 	}
-	return v.(*TraceArtifact), nil, hit
+	return v.(*gadt.Run), nil, hit
 }
 
 // buildArtifact runs the input-independent pipeline phases. Errors are
 // apiErrors so the session surfaces a stable code per failing phase.
-func buildArtifact(hash, file, src string, doTransform, doLint bool) (*Artifact, error) {
-	prog, err := parser.ParseProgram(file, src)
+// The system is loaded without metrics so sessions add no pipeline
+// series to the server's registry.
+func buildArtifact(key, file, src string, doTransform, doLint bool) (*Artifact, error) {
+	sys, err := gadt.Load(file, src)
 	if err != nil {
-		return nil, errf(422, CodeParseError, "parse: %v", err)
-	}
-	info, err := sem.Analyze(prog)
-	if err != nil {
+		if errors.As(err, &parser.ErrorList{}) {
+			return nil, errf(422, CodeParseError, "parse: %v", err)
+		}
 		return nil, errf(422, CodeSemError, "sem: %v", err)
 	}
-	art := &Artifact{Hash: hash, Info: info}
 	if doTransform {
-		res, err := transform.Apply(info)
-		if err != nil {
+		if _, err := sys.Transform(); err != nil {
 			return nil, errf(422, CodeTransformError, "transform: %v", err)
 		}
-		art.Transformed = res
 	}
+	art := &Artifact{key: key, System: sys}
 	if doLint {
-		art.LintDiags = lint.RunInfo(info, src, lint.Options{})
-		art.Hints = lint.Hints(art.LintDiags)
+		art.Hints = sys.LintHints()
 	}
 	return art, nil
-}
-
-// buildTrace executes the program under budgets, recording the
-// execution tree and the dynamic-dependence events for slicing. A
-// runtime error still yields the partial tree — crashes are debuggable
-// — so it is stored in the artifact, not returned.
-func buildTrace(art *Artifact, input string, fuel, depth int) *TraceArtifact {
-	info := art.TraceInfo()
-	rec := dynamic.NewRecorder(info)
-	tr := exectree.TraceWith(info, exectree.TraceOpts{
-		Input:    input,
-		Extra:    []interp.EventSink{rec},
-		MaxSteps: fuel,
-		MaxDepth: depth,
-	})
-	return &TraceArtifact{
-		Tree:     tr.Tree,
-		Recorder: rec,
-		Output:   tr.Output,
-		RunErr:   tr.Err,
-		Steps:    tr.Steps,
-	}
 }

@@ -193,7 +193,7 @@ func (m *Manager) prepare(sess *Session, req CreateRequest) {
 		return
 	}
 
-	tr, err, thit := m.cache.Trace(art, req.File, !req.NoTransform, !req.NoLint, req.Input, m.opts.Fuel, m.opts.Depth)
+	tr, err, thit := m.cache.Trace(art, req.Input, m.opts.Fuel, m.opts.Depth)
 	sess.mu.Lock()
 	sess.Cache.Trace = hitstr(thit)
 	sess.mu.Unlock()
@@ -245,7 +245,7 @@ func (m *Manager) prepare(sess *Session, req CreateRequest) {
 			Assertions:   sess.db,
 			Slicing:      !req.NoSlicing,
 			Recorder:     tr.Recorder,
-			Meta:         art.Transformed,
+			Meta:         art.System.Transformed,
 			Hints:        art.Hints,
 			MaxQuestions: req.MaxQuestions,
 			Metrics:      m.reg,

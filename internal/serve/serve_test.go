@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -132,7 +133,7 @@ func recordJournal(t *testing.T, source, reference, input string) (lines []strin
 		t.Fatal(err)
 	}
 	hints := sys.LintHints()
-	run, err := sys.Trace(input)
+	run, err := sys.Trace(gadt.TraceOpts{Input: input})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,28 +292,41 @@ func TestCorpusSessions(t *testing.T) {
 	}
 }
 
-// TestInteractiveSession drives a session with hand-written verdict
-// answers (no journal, no echoes) and exercises GET, list and DELETE.
-func TestInteractiveSession(t *testing.T) {
-	c, _, _ := newTestServer(t, serve.Options{})
+// sqrtestBugPath holds the units on the bug path of sqrtest: a verdict
+// client answers "incorrect" for them and "correct" for all others.
+var sqrtestBugPath = map[string]bool{
+	"sqrtest": true, "computs": true, "comput1": true,
+	"partialsums": true, "sum2": true, "decrement": true,
+}
 
-	// Units on the bug path of sqrtest answer "incorrect".
-	onPath := map[string]bool{
-		"sqrtest": true, "computs": true, "comput1": true,
-		"partialsums": true, "sum2": true, "decrement": true,
-	}
-	resp := c.create(paper.Sqrtest, "")
-	if resp.Output == "" {
-		t.Error("create response missing traced program output")
-	}
+// answerVerdicts answers a session with plain verdicts from
+// sqrtestBugPath until it stops waiting, and returns the final response
+// plus the unit of every question asked.
+func (c *tclient) answerVerdicts(resp serve.SessionResponse) (serve.SessionResponse, []string) {
+	c.t.Helper()
+	var units []string
 	for resp.State == "waiting" {
+		units = append(units, resp.Question.Unit)
 		verdict := "correct"
-		if onPath[resp.Question.Unit] {
+		if sqrtestBugPath[resp.Question.Unit] {
 			verdict = "incorrect"
 		}
 		body, _ := json.Marshal(serve.AnswerRequest{Verdict: verdict})
 		resp = c.answer(resp.ID, body)
 	}
+	return resp, units
+}
+
+// TestInteractiveSession drives a session with hand-written verdict
+// answers (no journal, no echoes) and exercises GET, list and DELETE.
+func TestInteractiveSession(t *testing.T) {
+	c, _, _ := newTestServer(t, serve.Options{})
+
+	resp := c.create(paper.Sqrtest, "")
+	if resp.Output == "" {
+		t.Error("create response missing traced program output")
+	}
+	resp, _ = c.answerVerdicts(resp)
 	if resp.State != "localized" || resp.Diagnosis == nil || resp.Diagnosis.Unit != "decrement" {
 		t.Fatalf("state=%s diagnosis=%+v, want decrement localized", resp.State, resp.Diagnosis)
 	}
@@ -395,6 +409,50 @@ func TestCacheSharing(t *testing.T) {
 	}
 }
 
+// TestNoTransformSession debugs sqrtest as written: the session
+// localizes the same bug without ever asking about a loop unit, and it
+// does not share the transformed session's artifact.
+func TestNoTransformSession(t *testing.T) {
+	c, _, _ := newTestServer(t, serve.Options{})
+	isLoopUnit := func(unit string) bool { return strings.Contains(unit, "_loop") }
+
+	// Bottom-up asks about every leaf it cannot prune, so the
+	// transformed session meets arrsum's loop unit.
+	req := serve.CreateRequest{Program: paper.Sqrtest, Strategy: "bottom-up"}
+	xform, units := c.answerVerdicts(c.createReq(req))
+	if xform.Diagnosis == nil || xform.Diagnosis.Unit != "decrement" {
+		t.Fatalf("transformed diagnosis = %+v, want decrement", xform.Diagnosis)
+	}
+	if !slices.ContainsFunc(units, isLoopUnit) {
+		t.Fatalf("transformed session asked %v, want a loop-unit question", units)
+	}
+
+	req.NoTransform = true
+	resp := c.createReq(req)
+	if resp.Cache == nil || resp.Cache.Artifact != "miss" {
+		t.Errorf("no_transform session cache = %+v, want artifact miss", resp.Cache)
+	}
+	resp, units = c.answerVerdicts(resp)
+	if resp.State != "localized" || resp.Diagnosis.Unit != "decrement" {
+		t.Fatalf("no_transform state=%s diagnosis=%+v, want decrement localized", resp.State, resp.Diagnosis)
+	}
+	if i := slices.IndexFunc(units, isLoopUnit); i >= 0 {
+		t.Errorf("no_transform session asked about loop unit %q", units[i])
+	}
+}
+
+// TestNoLintSession checks that dropping the plint hints changes only
+// the question order, not the diagnosis.
+func TestNoLintSession(t *testing.T) {
+	c, _, _ := newTestServer(t, serve.Options{})
+	def, _ := c.answerVerdicts(c.create(paper.Sqrtest, ""))
+	noLint, _ := c.answerVerdicts(c.createReq(serve.CreateRequest{Program: paper.Sqrtest, NoLint: true}))
+	if def.Diagnosis == nil || noLint.Diagnosis == nil || noLint.State != "localized" ||
+		noLint.Diagnosis.Unit != def.Diagnosis.Unit {
+		t.Fatalf("no_lint diagnosis = %+v, default %+v", noLint.Diagnosis, def.Diagnosis)
+	}
+}
+
 // TestOpsSurfaceOnSameListener checks that /metrics and /healthz are
 // served by the API listener and carry the per-endpoint counters.
 func TestOpsSurfaceOnSameListener(t *testing.T) {
@@ -432,7 +490,7 @@ func TestStrategies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run, err := sys.Trace("")
+			run, err := sys.Trace(gadt.TraceOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,6 +6,7 @@ import (
 
 	"gadt/internal/exectree"
 	"gadt/internal/paper"
+	"gadt/internal/pascal/interp"
 	"gadt/internal/pascal/parser"
 	"gadt/internal/pascal/sem"
 	"gadt/internal/slicing/dynamic"
@@ -19,7 +20,7 @@ func traceWithDeps(t *testing.T, src, input string) (*exectree.TraceResult, *dyn
 		t.Fatalf("analyze: %v", err)
 	}
 	rec := dynamic.NewRecorder(info)
-	res := exectree.Trace(info, input, rec)
+	res := exectree.TraceWith(info, exectree.TraceOpts{Input: input, Extra: []interp.EventSink{rec}})
 	if res.Err != nil {
 		t.Fatalf("trace: %v", res.Err)
 	}
@@ -328,7 +329,7 @@ end.`
 		t.Fatal(err)
 	}
 	rec := dynamic.NewRecorder(info)
-	res := exectree.Trace(info, "", rec)
+	res := exectree.TraceWith(info, exectree.TraceOpts{Extra: []interp.EventSink{rec}})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}

@@ -310,7 +310,7 @@ func TestLookupIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := exectree.Trace(sinfo, "")
+	res := exectree.TraceWith(sinfo, exectree.TraceOpts{})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -346,7 +346,7 @@ func TestFailingReportYieldsIncorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := exectree.Trace(sinfo, "")
+	res := exectree.TraceWith(sinfo, exectree.TraceOpts{})
 	var arrsumNode *exectree.Node
 	res.Tree.Walk(func(n *exectree.Node) bool {
 		if n.Unit.Name == "arrsum" {
@@ -367,7 +367,7 @@ func TestMultiLookup(t *testing.T) {
 
 	sprog := parser.MustParse("s.pas", paper.Sqrtest)
 	sinfo, _ := sem.Analyze(sprog)
-	res := exectree.Trace(sinfo, "")
+	res := exectree.TraceWith(sinfo, exectree.TraceOpts{})
 	var arrsumNode *exectree.Node
 	res.Tree.Walk(func(n *exectree.Node) bool {
 		if n.Unit.Name == "arrsum" {
@@ -446,7 +446,7 @@ func nodeWithIns(t *testing.T, bindings []interp.Binding) *exectree.Node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := exectree.Trace(info, "0 ")
+	res := exectree.TraceWith(info, exectree.TraceOpts{Input: "0 "})
 	var node *exectree.Node
 	res.Tree.Walk(func(n *exectree.Node) bool {
 		if n.Unit.Name == "arrsum" {
