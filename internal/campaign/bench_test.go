@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gadt/internal/campaign"
+	"gadt/internal/mutate"
 )
 
 // BenchmarkCampaignWorkers measures the same fixed-seed campaign under
@@ -36,5 +37,21 @@ func BenchmarkCampaignWorkers(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkEnumerateDefaultSubjects measures mutant enumeration of the
+// whole default subject set, the largest part of a campaign's set-up:
+//
+//	go test -run='^$' -bench=EnumerateDefaultSubjects -benchmem ./internal/campaign
+func BenchmarkEnumerateDefaultSubjects(b *testing.B) {
+	subjects := campaign.DefaultSubjects()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, s := range subjects {
+			if _, err := mutate.EnumerateProgram(s.Name+".pas", s.Source, mutate.Config{}); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

@@ -295,56 +295,41 @@ func Run(cfg Config) (*Report, error) {
 // equivalent ones out of the execution pool, computes the reference
 // outputs, and samples the remaining list down to Budget with the
 // campaign seed. Equivalent mutants bypass the budget: their verdict is
-// free, so they are always reported.
+// free, so they are always reported. Subjects are prepared on
+// cfg.Workers goroutines into per-subject slots, then assembled in
+// subject order, so the result does not depend on the pool size.
 func buildJobs(cfg Config) (jobs []job, preclassified []MutantOutcome, subjectErrs []string, enumerated int, err error) {
-	for _, s := range cfg.Subjects {
-		ref, werr := referenceRun(s, cfg)
-		if werr != nil {
-			subjectErrs = append(subjectErrs, fmt.Sprintf("%s: %v", s.Name, werr))
-			continue
-		}
-		want := ref.Output
-		oracle, werr := ref.System.Oracle(gadt.TraceOpts{MaxSteps: cfg.Fuel})
-		if werr != nil {
-			subjectErrs = append(subjectErrs, fmt.Sprintf("%s: %v", s.Name, werr))
-			continue
-		}
-		var tests *tgen.CallDB
-		var asserts *assertion.DB
-		if !cfg.NoHarvest {
-			tests = tgen.NewCallDB().HarvestTree(ref.Tree)
-			asserts = assertion.Generalize(ref.Tree.Nodes, assertion.GeneralizeOptions{})
-			if asserts.Len() == 0 {
-				asserts = nil
+	slots := make([]preparedSubject, len(cfg.Subjects))
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < min(cfg.Workers, len(cfg.Subjects)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				slots[i] = prepare(cfg, cfg.Subjects[i])
 			}
-		}
-		en, merr := mutate.EnumerateProgram(s.Name+".pas", s.Source, mutate.Config{Ops: cfg.Ops, Metrics: cfg.Metrics})
-		if merr != nil {
-			subjectErrs = append(subjectErrs, fmt.Sprintf("%s: %v", s.Name, merr))
+		}()
+	}
+	for i := range cfg.Subjects {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+
+	for i, s := range cfg.Subjects {
+		p := slots[i]
+		if p.err != nil {
+			subjectErrs = append(subjectErrs, fmt.Sprintf("%s: %v", s.Name, p.err))
 			continue
 		}
-		equivalents := triage(en)
-		enumerated += len(en.Mutants)
+		enumerated += p.enumerated
 		if cfg.Logf != nil {
 			cfg.Logf("subject %-28s %4d mutation sites, %d provably equivalent",
-				s.Name, len(en.Mutants), equivalents)
+				s.Name, p.enumerated, p.equivalents)
 		}
-		for _, m := range en.Mutants {
-			if m.Equivalent {
-				o := MutantOutcome{
-					Subject:     s.Name,
-					MutantID:    m.ID,
-					Op:          string(m.Op),
-					Unit:        m.Unit,
-					Description: m.Description,
-					Status:      StatusEquivalent,
-					Detail:      "static triage: " + m.EquivReason,
-				}
-				preclassified = append(preclassified, o)
-				continue
-			}
-			jobs = append(jobs, job{subject: s, want: want, mutant: m, tests: tests, asserts: asserts, oracle: oracle})
-		}
+		jobs = append(jobs, p.jobs...)
+		preclassified = append(preclassified, p.preclassified...)
 	}
 	if len(jobs) == 0 && len(preclassified) == 0 {
 		return nil, nil, subjectErrs, 0, errors.New("campaign: no mutants enumerated")
@@ -353,6 +338,60 @@ func buildJobs(cfg Config) (jobs []job, preclassified []MutantOutcome, subjectEr
 		jobs = sample(jobs, cfg.Budget, cfg.Seed)
 	}
 	return jobs, preclassified, subjectErrs, enumerated, nil
+}
+
+// preparedSubject is one subject's share of the campaign: its
+// evaluable jobs and statically proven equivalents, or the error that
+// excluded it.
+type preparedSubject struct {
+	jobs          []job
+	preclassified []MutantOutcome
+	enumerated    int
+	equivalents   int
+	err           error
+}
+
+// prepare runs the subject's reference run, builds its oracle and
+// harvest, and enumerates and triages its mutants.
+func prepare(cfg Config, s Subject) preparedSubject {
+	ref, err := referenceRun(s, cfg)
+	if err != nil {
+		return preparedSubject{err: err}
+	}
+	oracle, err := ref.System.Oracle(gadt.TraceOpts{MaxSteps: cfg.Fuel})
+	if err != nil {
+		return preparedSubject{err: err}
+	}
+	var tests *tgen.CallDB
+	var asserts *assertion.DB
+	if !cfg.NoHarvest {
+		tests = tgen.NewCallDB().HarvestTree(ref.Tree)
+		asserts = assertion.Generalize(ref.Tree.Nodes, assertion.GeneralizeOptions{})
+		if asserts.Len() == 0 {
+			asserts = nil
+		}
+	}
+	en, err := mutate.EnumerateProgram(s.Name+".pas", s.Source, mutate.Config{Ops: cfg.Ops, Metrics: cfg.Metrics})
+	if err != nil {
+		return preparedSubject{err: err}
+	}
+	p := preparedSubject{equivalents: triage(en), enumerated: len(en.Mutants)}
+	for _, m := range en.Mutants {
+		if m.Equivalent {
+			p.preclassified = append(p.preclassified, MutantOutcome{
+				Subject:     s.Name,
+				MutantID:    m.ID,
+				Op:          string(m.Op),
+				Unit:        m.Unit,
+				Description: m.Description,
+				Status:      StatusEquivalent,
+				Detail:      "static triage: " + m.EquivReason,
+			})
+			continue
+		}
+		p.jobs = append(p.jobs, job{subject: s, want: ref.Output, mutant: m, tests: tests, asserts: asserts, oracle: oracle})
+	}
+	return p
 }
 
 // triage classifies equivalent mutants with the value analysis of the

@@ -3,6 +3,8 @@ package campaign_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -173,33 +175,53 @@ func TestCampaignEquivalentTriage(t *testing.T) {
 }
 
 // TestCampaignDeterministic pins that two runs with one seed agree on
-// every verdict (timing aside), regardless of worker interleaving.
+// every verdict (timing aside), on the subject errors and on the
+// per-subject log lines, regardless of how many workers prepare the
+// subjects and evaluate the mutants.
 func TestCampaignDeterministic(t *testing.T) {
-	cfg := campaign.Config{
-		Subjects: []campaign.Subject{{Name: "looper", Source: loopSubject}},
-		Seed:     42,
-		Budget:   12,
-		Fuel:     20_000,
-		Timeout:  time.Minute,
+	run := func(workers int) (*campaign.Report, []string) {
+		var logs []string
+		rep := small(t, campaign.Config{
+			Subjects: []campaign.Subject{
+				{Name: "looper", Source: loopSubject},
+				{Name: "broken", Source: "program broken; begin x := end."},
+				{Name: "guarded", Source: deadGuardSubject},
+			},
+			Seed:    42,
+			Budget:  16,
+			Fuel:    20_000,
+			Timeout: time.Minute,
+			Workers: workers,
+			Logf:    func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) },
+		})
+		for i := range rep.Outcomes {
+			rep.Outcomes[i].ElapsedMS = 0
+		}
+		return rep, logs
 	}
-	cfg2 := cfg
-	cfg2.Workers = 1
-	a, b := small(t, cfg), small(t, cfg2)
+	a, aLogs := run(1)
+	b, bLogs := run(4)
+	if len(a.SubjectErrors) != 1 || !strings.HasPrefix(a.SubjectErrors[0], "broken: ") {
+		t.Errorf("subject errors = %q, want one for broken", a.SubjectErrors)
+	}
+	if !reflect.DeepEqual(a.SubjectErrors, b.SubjectErrors) {
+		t.Errorf("subject errors differ: %q vs %q", a.SubjectErrors, b.SubjectErrors)
+	}
+	if len(aLogs) != 2 || !reflect.DeepEqual(aLogs, bLogs) {
+		t.Errorf("log lines differ or miss a subject:\n%q\nvs\n%q", aLogs, bLogs)
+	}
 	if len(a.Outcomes) != len(b.Outcomes) {
 		t.Fatalf("outcome counts differ: %d vs %d", len(a.Outcomes), len(b.Outcomes))
 	}
+	subjects := make(map[string]bool)
 	for i := range a.Outcomes {
-		x, y := a.Outcomes[i], b.Outcomes[i]
-		if x.MutantID != y.MutantID || x.Status != y.Status || len(x.Strategies) != len(y.Strategies) {
-			t.Errorf("outcome %d differs: %+v vs %+v", i, x, y)
-			continue
+		subjects[a.Outcomes[i].Subject] = true
+		if !reflect.DeepEqual(a.Outcomes[i], b.Outcomes[i]) {
+			t.Errorf("outcome %d differs:\n%+v\nvs\n%+v", i, a.Outcomes[i], b.Outcomes[i])
 		}
-		for k := range x.Strategies {
-			if x.Strategies[k] != y.Strategies[k] {
-				t.Errorf("mutant %d strategy %s differs: %+v vs %+v",
-					x.MutantID, x.Strategies[k].Strategy, x.Strategies[k], y.Strategies[k])
-			}
-		}
+	}
+	if !subjects["looper"] || !subjects["guarded"] {
+		t.Errorf("outcomes cover subjects %v, want looper and guarded", subjects)
 	}
 }
 

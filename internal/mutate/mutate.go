@@ -132,14 +132,17 @@ var arithAlts = map[token.Kind][]token.Kind{
 	token.Slash: {token.Star},
 }
 
-// site is one latent mutation: apply edits the cloned counterpart of
-// the recorded original node(s).
+// site is one latent mutation: apply edits the counterpart (in a copy
+// of the program) of the recorded original node and returns the undo
+// that restores the copy, or nil when the edit does not apply. Every
+// edit is a single field or slice-slot write, so undo writes the old
+// value back.
 type site struct {
 	op    Op
 	unit  string
 	pos   token.Pos
 	desc  string
-	apply func(counterpart func(ast.Node) ast.Node) bool
+	apply func(counterpart func(ast.Node) ast.Node) (undo func())
 
 	// Triage metadata. node is the original-program construct the
 	// mutation edits (nil opts the site out of static triage); altOp and
@@ -196,15 +199,26 @@ func EnumerateProgram(file, source string, cfg Config) (*Enumeration, error) {
 		siteVec.With(string(st.op)).Inc()
 	}
 
+	// Every site edits one scratch copy of the program: apply, validate,
+	// print, undo. Undo leaves the copy equal to the original again; the
+	// only other writes into it are sem's UIDs, and a stale UID falls
+	// back to the resolution maps.
+	scratch, cm := ast.Clone(prog)
+	old2new := invert(cm)
+	lookup := func(n ast.Node) ast.Node { return old2new[n] }
 	var mutants []*Mutant
 	for i, st := range sites {
-		clone, cm := ast.Clone(prog)
-		old2new := invert(cm)
-		lookup := func(n ast.Node) ast.Node { return old2new[n] }
-		if !st.apply(lookup) {
+		undo := st.apply(lookup)
+		if undo == nil {
 			continue
 		}
-		if _, err := sem.Analyze(clone); err != nil {
+		_, err := sem.Analyze(scratch)
+		var source string
+		if err == nil {
+			source = printer.Print(scratch)
+		}
+		undo()
+		if err != nil {
 			cfg.Metrics.Counter("mutate.stillborn").Inc()
 			continue // stillborn: the fault does not type-check
 		}
@@ -214,7 +228,7 @@ func EnumerateProgram(file, source string, cfg Config) (*Enumeration, error) {
 			Unit:        st.unit,
 			Pos:         st.pos,
 			Description: st.desc,
-			Source:      printer.Print(clone),
+			Source:      source,
 			orig:        st,
 		})
 	}
@@ -341,16 +355,19 @@ func collectDrops(parent ast.Node, stmts []ast.Stmt, unit string, enabled map[Op
 			pos:  s.Pos(),
 			desc: fmt.Sprintf("drop-stmt `%s` in %s", firstLine(printer.PrintStmt(s)), unit),
 			node: s,
-			apply: func(counterpart func(ast.Node) ast.Node) bool {
+			apply: func(counterpart func(ast.Node) ast.Node) func() {
+				var stmts []ast.Stmt
 				switch p := counterpart(parent).(type) {
 				case *ast.CompoundStmt:
-					p.Stmts[i] = &ast.EmptyStmt{SemiPos: p.Stmts[i].Pos()}
-					return true
+					stmts = p.Stmts
 				case *ast.RepeatStmt:
-					p.Stmts[i] = &ast.EmptyStmt{SemiPos: p.Stmts[i].Pos()}
-					return true
+					stmts = p.Stmts
+				default:
+					return nil
 				}
-				return false
+				old := stmts[i]
+				stmts[i] = &ast.EmptyStmt{SemiPos: old.Pos()}
+				return func() { stmts[i] = old }
 			},
 		})
 	}
@@ -366,21 +383,21 @@ func collectNegate(stmt ast.Node, cond ast.Expr, kw, unit string, enabled map[Op
 		pos:  cond.Pos(),
 		desc: fmt.Sprintf("negate-cond %s `%s` in %s", kw, firstLine(printer.PrintExpr(cond)), unit),
 		node: cond,
-		apply: func(counterpart func(ast.Node) ast.Node) bool {
-			negate := func(e *ast.Expr) {
-				*e = &ast.UnaryExpr{OpPos: (*e).Pos(), Op: token.Not, X: *e}
-			}
+		apply: func(counterpart func(ast.Node) ast.Node) func() {
+			var e *ast.Expr
 			switch s := counterpart(stmt).(type) {
 			case *ast.IfStmt:
-				negate(&s.Cond)
+				e = &s.Cond
 			case *ast.WhileStmt:
-				negate(&s.Cond)
+				e = &s.Cond
 			case *ast.RepeatStmt:
-				negate(&s.Cond)
+				e = &s.Cond
 			default:
-				return false
+				return nil
 			}
-			return true
+			old := *e
+			*e = &ast.UnaryExpr{OpPos: old.Pos(), Op: token.Not, X: old}
+			return func() { *e = old }
 		},
 	})
 }
@@ -402,13 +419,14 @@ func collectOpFlip(e *ast.BinaryExpr, unit string, enabled map[Op]bool, sites *[
 			desc:  fmt.Sprintf("%s %s -> %s in %s", op, e.Op, alt, unit),
 			node:  e,
 			altOp: alt,
-			apply: func(counterpart func(ast.Node) ast.Node) bool {
+			apply: func(counterpart func(ast.Node) ast.Node) func() {
 				b, ok := counterpart(e).(*ast.BinaryExpr)
 				if !ok {
-					return false
+					return nil
 				}
+				old := b.Op
 				b.Op = alt
-				return true
+				return func() { b.Op = old }
 			},
 		})
 	}
@@ -426,13 +444,14 @@ func collectOffByOne(e *ast.IntLit, unit string, enabled map[Op]bool, sites *[]*
 			pos:  e.Pos(),
 			desc: fmt.Sprintf("const-off-by-one %d -> %d in %s", e.Value, e.Value+delta, unit),
 			node: e,
-			apply: func(counterpart func(ast.Node) ast.Node) bool {
+			apply: func(counterpart func(ast.Node) ast.Node) func() {
 				l, ok := counterpart(e).(*ast.IntLit)
 				if !ok {
-					return false
+					return nil
 				}
+				old := l.Value
 				l.Value += delta
-				return true
+				return func() { l.Value = old }
 			},
 		})
 	}
@@ -461,13 +480,14 @@ func collectSwap(id *ast.Ident, unit string, groups map[string][]string, enabled
 		desc:    fmt.Sprintf("var-swap %s -> %s in %s", id.Name, alt, unit),
 		node:    id,
 		altName: alt,
-		apply: func(counterpart func(ast.Node) ast.Node) bool {
+		apply: func(counterpart func(ast.Node) ast.Node) func() {
 			n, ok := counterpart(id).(*ast.Ident)
 			if !ok {
-				return false
+				return nil
 			}
+			old := n.Name
 			n.Name = alt
-			return true
+			return func() { n.Name = old }
 		},
 	})
 }

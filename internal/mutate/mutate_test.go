@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gadt/internal/mutate"
+	"gadt/internal/obs"
 	"gadt/internal/pascal/parser"
 	"gadt/internal/pascal/printer"
 	"gadt/internal/pascal/sem"
@@ -198,5 +199,48 @@ func TestParseOp(t *testing.T) {
 	}
 	if _, ok := mutate.ParseOp("nope"); ok {
 		t.Error("ParseOp accepted an unknown operator")
+	}
+}
+
+// TestStillbornMidEnumeration: flipping the string `+` to `-` or `*`
+// does not type-check. Those sites are skipped and counted, and the
+// scratch copy is restored after a failed validation too, so the next
+// mutant carries only its own edit.
+func TestStillbornMidEnumeration(t *testing.T) {
+	const src = `
+program glue;
+var word, acc: string;
+    n: integer;
+begin
+  word := 'b';
+  acc := 'a' + word;
+  n := 7;
+  writeln(acc, n);
+end.`
+	reg := obs.NewRegistry()
+	ms, err := mutate.Enumerate("glue.pas", src, mutate.Config{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("mutate.stillborn").Value(); got != 2 {
+		t.Fatalf("mutate.stillborn = %d, want 2", got)
+	}
+	var skipped []int
+	next := -1
+	for i, m := range ms {
+		for id := ms[max(i-1, 0)].ID + 1; id < m.ID; id++ {
+			skipped = append(skipped, id)
+			next = i
+		}
+		if strings.Contains(m.Source, "'a' - ") || strings.Contains(m.Source, "'a' * ") {
+			t.Errorf("mutant %d (%s) carries a stillborn edit:\n%s", m.ID, m.Description, m.Source)
+		}
+	}
+	if len(skipped) != 2 || skipped[1] != skipped[0]+1 || next < 0 {
+		t.Fatalf("skipped IDs = %v, want two consecutive IDs inside the enumeration", skipped)
+	}
+	if m := ms[next]; !strings.Contains(m.Source, "'a' + ") {
+		t.Errorf("mutant %d (%s), enumerated right after the stillborn ones, lost the original `+`:\n%s",
+			m.ID, m.Description, m.Source)
 	}
 }

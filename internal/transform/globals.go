@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"gadt/internal/analysis/callgraph"
-	"gadt/internal/analysis/sideeffect"
 	"gadt/internal/pascal/ast"
 	"gadt/internal/pascal/sem"
 )
@@ -56,8 +55,7 @@ func varBoundVars(info *sem.Info, cg *callgraph.Graph) map[*sem.VarSym]bool {
 // become var or out parameters, and every call site passes the variable
 // through, transitively. It reports whether it rewrote the program.
 func (st *state) globalsToParams(p *ast.Program, info *sem.Info) (changed bool, err error) {
-	cg := callgraph.Build(info)
-	se := sideeffect.Analyze(info, cg)
+	cg, se := st.effects(info)
 	bound := varBoundVars(info, cg)
 
 	// Plan the new parameters per routine.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"gadt/internal/analysis/callgraph"
 	"gadt/internal/analysis/sideeffect"
 	"gadt/internal/pascal/ast"
 	"gadt/internal/pascal/sem"
@@ -24,8 +23,7 @@ const (
 // re-raises through its own exit-condition parameter. It reports
 // whether it rewrote the program.
 func (st *state) breakGotos(p *ast.Program, info *sem.Info) (changed bool, err error) {
-	cg := callgraph.Build(info)
-	se := sideeffect.Analyze(info, cg)
+	_, se := st.effects(info)
 
 	// Escape codes, program-wide, in deterministic order.
 	codes := make(map[*sem.LabelInfo]int)

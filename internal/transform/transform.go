@@ -33,6 +33,8 @@ package transform
 import (
 	"fmt"
 
+	"gadt/internal/analysis/callgraph"
+	"gadt/internal/analysis/sideeffect"
 	"gadt/internal/obs"
 	"gadt/internal/pascal/ast"
 	"gadt/internal/pascal/sem"
@@ -243,6 +245,23 @@ type state struct {
 	res   *Result
 	names map[string]bool // all identifiers in use, for fresh-name generation
 	seq   int
+
+	// The call graph and side-effect analysis of effInfo, kept for the
+	// next pass while no pass rewrote the program.
+	effInfo *sem.Info
+	cg      *callgraph.Graph
+	se      *sideeffect.Result
+}
+
+// effects returns the call graph and side-effect analysis of info,
+// computing them only when the previous pass saw a different analysis.
+func (st *state) effects(info *sem.Info) (*callgraph.Graph, *sideeffect.Result) {
+	if st.effInfo != info {
+		st.effInfo = info
+		st.cg = callgraph.Build(info)
+		st.se = sideeffect.Analyze(info, st.cg)
+	}
+	return st.cg, st.se
 }
 
 // fresh returns an unused identifier based on base.

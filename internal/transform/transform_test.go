@@ -1,6 +1,7 @@
 package transform_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -369,15 +370,21 @@ func TestIdempotentWhenNoEffects(t *testing.T) {
 		}
 	}
 	checkInfoDescribesProgram(t, res)
+	checkSameWithout(t, src, res, transform.Stages{Loops: true, Globals: true})
 }
 
 // TestInfoDescribesProgram covers the analysis reuse in ApplyStages:
 // whether or not a pass rewrote the clone, the returned Info must be
-// the analysis of the returned Program. The globals-only program runs
-// a no-op goto pass and a rewriting globals pass; the global-goto
+// the analysis of the returned Program, and a pass after a no-op pass
+// (which reuses its call graph and side-effect analysis) must rewrite
+// exactly as if the no-op pass had not run. The globals-only program
+// runs a no-op goto pass and a rewriting globals pass; the global-goto
 // program runs a rewriting goto pass and a no-op globals pass.
 func TestInfoDescribesProgram(t *testing.T) {
-	for _, tc := range []struct{ name, src string }{
+	for _, tc := range []struct {
+		name, src string
+		noop      transform.Stages // the stages minus the no-op pass
+	}{
 		{"globalsOnly", `
 program t;
 var g, h: integer;
@@ -392,7 +399,7 @@ begin
   h := 2;
   bump;
   writeln(g);
-end.`},
+end.`, transform.Stages{Loops: true, Globals: true}},
 		{"globalGoto", `
 program t;
 label 9;
@@ -408,7 +415,7 @@ begin
   check(-1);
   writeln(0);
   9:
-end.`},
+end.`, transform.Stages{Loops: true, Gotos: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res := apply(t, tc.src)
@@ -416,7 +423,33 @@ end.`},
 				t.Fatalf("no parameters added:\n%s", printer.Print(res.Program))
 			}
 			checkInfoDescribesProgram(t, res)
+			checkSameWithout(t, tc.src, res, tc.noop)
 		})
+	}
+}
+
+// checkSameWithout asserts that res, the full pipeline's result on src,
+// has the printed program, EscapeCodes and Added of the pipeline run
+// with only the given stages, which leave out a pass that rewrote
+// nothing.
+func checkSameWithout(t *testing.T, src string, res *transform.Result, stages transform.Stages) {
+	t.Helper()
+	info, err := sem.Analyze(parser.MustParse("t.pas", src))
+	if err != nil {
+		t.Fatalf("analyze: %v", err)
+	}
+	want, err := transform.ApplyStages(info, stages)
+	if err != nil {
+		t.Fatalf("transform %s: %v", stages, err)
+	}
+	if got, w := printer.Print(res.Program), printer.Print(want.Program); got != w {
+		t.Errorf("program differs from the %s pipeline:\n%s\nwant:\n%s", stages, got, w)
+	}
+	if !reflect.DeepEqual(res.EscapeCodes, want.EscapeCodes) {
+		t.Errorf("EscapeCodes = %v, the %s pipeline gives %v", res.EscapeCodes, stages, want.EscapeCodes)
+	}
+	if !reflect.DeepEqual(res.Added, want.Added) {
+		t.Errorf("Added = %v, the %s pipeline gives %v", res.Added, stages, want.Added)
 	}
 }
 
