@@ -1,9 +1,11 @@
 // Command pmut runs a parallel mutation campaign: it plants faults into
-// every subject program with classic mutation operators, pushes each
-// mutant through the full GADT pipeline (transform, trace, algorithmic
-// debugging), and answers every debugger query from the unmutated
-// reference program — a fault-injection evaluation of bug localization
-// with zero interactive oracle questions.
+// every subject program with classic mutation operators, transforms
+// each mutant and runs it untraced to classify it killed, survived or
+// timeout, pushes each killed mutant on through the rest of the GADT
+// pipeline (trace, algorithmic debugging), and answers every debugger
+// query from the unmutated reference program — a fault-injection
+// evaluation of bug localization with zero interactive oracle
+// questions.
 //
 // Usage:
 //
@@ -19,8 +21,8 @@
 //	-no-harvest    skip harvesting the reference run into call/assertion
 //	               databases (every query then reaches the oracle)
 //	-subject s     only subjects whose name contains s
-//	-backend name  mutant execution engine: interp or vm (vm classifies
-//	               untraced at bytecode speed, tracing only killed mutants)
+//	-backend name  engine of the untraced classification run: interp or
+//	               vm (traced runs of killed mutants use the interpreter)
 //	-fuel n        per-execution statement budget
 //	-depth n       per-execution call-depth budget
 //	-timeout d     per-mutant wall-clock backstop
@@ -58,7 +60,7 @@ func main() {
 		noHarvest = flag.Bool("no-harvest", false, "skip the reference-run call/assertion harvest")
 		opsFlag   = flag.String("operators", "all", "comma list of mutation operators, or all")
 		subject   = flag.String("subject", "", "only subjects whose name contains this")
-		backendF  = flag.String("backend", "", "mutant execution engine: interp or vm")
+		backendF  = flag.String("backend", "", "engine of each mutant's untraced classification run: interp or vm (traced runs use the interpreter)")
 		fuel      = flag.Int("fuel", 0, "per-execution statement budget (0 = default)")
 		depth     = flag.Int("depth", 0, "per-execution call-depth budget (0 = default)")
 		timeout   = flag.Duration("timeout", 0, "per-mutant wall-clock backstop (0 = default)")

@@ -8,6 +8,9 @@ import (
 
 	"gadt/internal/campaign"
 	"gadt/internal/mutate"
+	"gadt/internal/pascal/ast"
+	"gadt/internal/pascal/parser"
+	"gadt/internal/pascal/sem"
 )
 
 // BenchmarkCampaignWorkers measures the same fixed-seed campaign under
@@ -50,6 +53,32 @@ func BenchmarkEnumerateDefaultSubjects(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, s := range subjects {
 			if _, err := mutate.EnumerateProgram(s.Name+".pas", s.Source, mutate.Config{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkAnalyzeDefaultSubjects measures semantic analysis of every
+// default subject, which a campaign repeats per enumerated site, per
+// loaded mutant and per transform pass. Parsing happens once, outside
+// the timer:
+//
+//	go test -run='^$' -bench=AnalyzeDefaultSubjects -benchmem ./internal/campaign
+func BenchmarkAnalyzeDefaultSubjects(b *testing.B) {
+	var progs []*ast.Program
+	for _, s := range campaign.DefaultSubjects() {
+		prog, err := parser.ParseProgram(s.Name+".pas", s.Source)
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs = append(progs, prog)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, prog := range progs {
+			if _, err := sem.Analyze(prog); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,9 +1,10 @@
 // Package campaign runs parallel mutation campaigns: every mutant of
-// every subject program is pushed through the full GADT pipeline —
-// transform, trace, algorithmic debugging — against an automated
-// reference oracle (the unmutated program re-executed per query), with
-// zero human interaction. The campaign scores each mutant
-// (killed / survived / timeout), and for killed mutants whether each
+// every subject program is transformed and run untraced to score it
+// (killed / survived / timeout), and every killed mutant goes on
+// through the rest of the GADT pipeline — trace, algorithmic
+// debugging — against an automated reference oracle (the unmutated
+// program re-executed per query), with zero human interaction. The
+// campaign reports, for killed mutants, whether each
 // traversal strategy localizes the fault back to the unit the mutation
 // was injected into and how many oracle queries it spends. The
 // aggregate report is the repo's standing fault-injection evaluation of
@@ -113,7 +114,8 @@ type Config struct {
 	MaxTreeNodes int
 	// MaxQuestions bounds oracle queries per debugging session (0 = 2000).
 	MaxQuestions int
-	// Metrics, when non-nil, receives campaign.* counters, the live
+	// Metrics, when non-nil, receives campaign.* counters (among them
+	// campaign.traced, one per mutant given a traced run), the live
 	// campaign.inflight/campaign.done gauges, and the labeled
 	// campaign.outcomes{status=...} series.
 	Metrics *obs.Registry
@@ -125,12 +127,12 @@ type Config struct {
 	Progress io.Writer
 	// Logf, when non-nil, receives one progress line per subject.
 	Logf func(format string, args ...any)
-	// Backend selects the mutant execution engine ("" or "interp" =
-	// interpreter, "vm" = bytecode VM). Under "vm", evaluation is
-	// two-phase: every mutant first runs untraced at VM speed for the
-	// killed/survived/timeout classification, and only killed mutants
-	// are re-run traced for debugging-phase localization. Reference
-	// runs stay traced either way — they feed the assertion harvest.
+	// Backend selects the engine of each mutant's untraced
+	// classification run ("" or "interp" = interpreter, "vm" = bytecode
+	// VM), which decides killed, survived or timeout. Traced runs stay
+	// on the interpreter: only killed mutants are re-run traced for
+	// debugging-phase localization, and reference runs are traced
+	// because they feed the assertion harvest.
 	Backend string
 }
 
@@ -464,16 +466,16 @@ func skeleton(j job) MutantOutcome {
 	}
 }
 
-// eval pushes one mutant through the pipeline. Under the vm backend it
-// is two-phase: an untraced classification run first (VM speed, no
-// event dispatch), then a traced re-run only for killed mutants that
-// enter the debugging phase. Budget semantics are identical between
-// the engines (same typed fuel/depth errors at the same statement
-// counts), so the untraced verdict matches what the traced run would
-// have concluded.
-func eval(cfg Config, j job) MutantOutcome {
+// eval pushes one mutant through the pipeline. Every mutant is
+// classified by an untraced run on the selected backend; only killed
+// mutants, which enter the debugging phase, are traced. Budget
+// semantics are identical between the engines (same typed fuel/depth
+// errors at the same statement counts), so the untraced verdict matches
+// what a traced run would have concluded. The result is named so the
+// deferred timing lands in the returned outcome.
+func eval(cfg Config, j job) (o MutantOutcome) {
 	start := time.Now()
-	o := skeleton(j)
+	o = skeleton(j)
 	defer func() { o.ElapsedMS = time.Since(start).Milliseconds() }()
 
 	sys, err := gadt.Load(j.subject.Name+".pas", j.mutant.Source)
@@ -481,58 +483,47 @@ func eval(cfg Config, j job) MutantOutcome {
 		o.Status, o.Detail = StatusStillborn, err.Error()
 		return o
 	}
-
-	if cfg.Backend == "vm" {
-		res, terr := sys.Transform()
-		if terr != nil {
-			o.Status, o.Detail = StatusStillborn, terr.Error()
-			return o
-		}
-		be, _ := backend.Select(cfg.Backend)
-		var out strings.Builder
-		r := be.NewRunner("", res.Info, interp.Config{
-			Input:    strings.NewReader(j.subject.Input),
-			Output:   &out,
-			MaxSteps: cfg.Fuel,
-			MaxDepth: cfg.MaxDepth,
-			Metrics:  cfg.Metrics,
-		})
-		runErr := r.Run()
-		switch {
-		case errors.Is(runErr, interp.ErrFuelExhausted), errors.Is(runErr, interp.ErrDepthExhausted):
-			o.Status = StatusTimeout
-			o.Detail = fmt.Sprintf("non-termination: %v (after %d steps)", runErr, r.Steps())
-			return o
-		case runErr == nil && out.String() == j.want:
-			o.Status = StatusSurvived
-			return o
-		}
-		// Killed (crash or output divergence): fall through to the
-		// traced run, which the debugging phase needs anyway.
+	res, err := sys.Transform()
+	if err != nil {
+		o.Status, o.Detail = StatusStillborn, err.Error()
+		return o
+	}
+	be, _ := backend.Select(cfg.Backend)
+	var out strings.Builder
+	r := be.NewRunner("", res.Info, interp.Config{
+		Input:    strings.NewReader(j.subject.Input),
+		Output:   &out,
+		MaxSteps: cfg.Fuel,
+		MaxDepth: cfg.MaxDepth,
+		Metrics:  cfg.Metrics,
+	})
+	runErr := r.Run()
+	switch {
+	case errors.Is(runErr, interp.ErrFuelExhausted), errors.Is(runErr, interp.ErrDepthExhausted):
+		// Transformed loops recurse, so a planted infinite loop trips
+		// either the step or the call-depth budget: non-termination.
+		o.Status = StatusTimeout
+		o.Detail = fmt.Sprintf("non-termination: %v (after %d steps)", runErr, r.Steps())
+		return o
+	case runErr == nil && out.String() == j.want:
+		o.Status = StatusSurvived
+		return o
 	}
 
+	// Killed (crash or output divergence). The traced run is always on
+	// the interpreter, so the crash message in Detail does not depend
+	// on the backend.
+	cfg.Metrics.Counter("campaign.traced").Inc()
 	run, err := sys.Trace(gadt.TraceOpts{Input: j.subject.Input, MaxSteps: cfg.Fuel, MaxDepth: cfg.MaxDepth})
 	if err != nil {
 		o.Status, o.Detail = StatusStillborn, err.Error()
 		return o
 	}
-
-	switch {
-	case errors.Is(run.RunErr, interp.ErrFuelExhausted), errors.Is(run.RunErr, interp.ErrDepthExhausted):
-		// Transformed loops recurse, so a planted infinite loop trips
-		// either the step or the call-depth budget: non-termination.
-		o.Status = StatusTimeout
-		o.Detail = fmt.Sprintf("non-termination: %v (after %d steps)", run.RunErr, run.Steps)
-		return o
-	case run.RunErr != nil:
-		o.Status = StatusKilled
+	o.Status = StatusKilled
+	if run.RunErr != nil {
 		o.Detail = "crash: " + run.RunErr.Error()
-	case run.Output != j.want:
-		o.Status = StatusKilled
+	} else {
 		o.Detail = outputDiff(j.want, run.Output)
-	default:
-		o.Status = StatusSurvived
-		return o
 	}
 
 	// Killed: evaluate bug localization per strategy, answering every

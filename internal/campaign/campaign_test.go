@@ -225,15 +225,17 @@ func TestCampaignDeterministic(t *testing.T) {
 	}
 }
 
-// TestCampaignBackendParity: the same seeded campaign must reach
-// identical per-mutant verdicts and localization results whether
-// mutants classify via the traced interpreter or the two-phase VM
-// path. This is the campaign-level face of the engines' budget parity.
+// TestCampaignBackendParity: both engines classify every mutant by an
+// untraced run, and only killed mutants are traced, always on the
+// interpreter. The same seeded campaign must therefore produce identical
+// outcomes (timing aside) on either backend: verdicts, localization
+// results, and Details, which carry timeout step counts and crash
+// messages. This is the campaign-level face of the engines' budget
+// parity.
 func TestCampaignBackendParity(t *testing.T) {
 	cfg := campaign.Config{
 		Subjects: []campaign.Subject{{Name: "looper", Source: loopSubject}},
 		Seed:     42,
-		Budget:   12,
 		Fuel:     20_000,
 		Timeout:  time.Minute,
 	}
@@ -243,24 +245,68 @@ func TestCampaignBackendParity(t *testing.T) {
 	if b.Backend != "vm" {
 		t.Fatalf("report backend = %q, want vm", b.Backend)
 	}
+	if a.Killed == 0 || a.Survived == 0 || a.Timeout == 0 {
+		t.Fatalf("campaign lacks a fate: %d killed, %d survived, %d timeout", a.Killed, a.Survived, a.Timeout)
+	}
 	if len(a.Outcomes) != len(b.Outcomes) {
 		t.Fatalf("outcome counts differ: %d vs %d", len(a.Outcomes), len(b.Outcomes))
 	}
 	for i := range a.Outcomes {
 		x, y := a.Outcomes[i], b.Outcomes[i]
-		if x.MutantID != y.MutantID || x.Status != y.Status {
-			t.Errorf("mutant %d: interp %s, vm %s (%s)", x.MutantID, x.Status, y.Status, y.Detail)
-			continue
-		}
-		for k := range x.Strategies {
-			if x.Strategies[k] != y.Strategies[k] {
-				t.Errorf("mutant %d strategy %s differs across backends: %+v vs %+v",
-					x.MutantID, x.Strategies[k].Strategy, x.Strategies[k], y.Strategies[k])
-			}
+		x.ElapsedMS, y.ElapsedMS = 0, 0
+		if !reflect.DeepEqual(x, y) {
+			t.Errorf("mutant %d differs across backends:\ninterp %+v\nvm     %+v", x.MutantID, x, y)
 		}
 	}
 	if _, err := campaign.Run(campaign.Config{Backend: "jit"}); err == nil {
 		t.Fatal("unknown backend should fail fast")
+	}
+}
+
+// TestOnlyKilledMutantsTraced: survivors and timeouts are classified
+// by the untraced run alone; the campaign.traced counter moves once per
+// killed mutant, on both backends.
+func TestOnlyKilledMutantsTraced(t *testing.T) {
+	for _, be := range []string{"interp", "vm"} {
+		reg := obs.NewRegistry()
+		rep := small(t, campaign.Config{
+			Subjects: []campaign.Subject{{Name: "looper", Source: loopSubject}},
+			Seed:     1,
+			Fuel:     20_000,
+			Timeout:  time.Minute,
+			Backend:  be,
+			Metrics:  reg,
+		})
+		if rep.Killed == 0 || rep.Survived == 0 || rep.Timeout == 0 {
+			t.Fatalf("%s: campaign lacks a fate: %d killed, %d survived, %d timeout", be, rep.Killed, rep.Survived, rep.Timeout)
+		}
+		evaluated := rep.Mutants - rep.Equivalent
+		traced := reg.Counter("campaign.traced").Value()
+		if traced != int64(rep.Killed) || traced >= int64(evaluated) {
+			t.Errorf("%s: traced %d mutants, want the %d killed of %d evaluated", be, traced, rep.Killed, evaluated)
+		}
+	}
+}
+
+// TestElapsedRecorded: an evaluated mutant reports its own evaluation
+// time. A planted infinite loop under a deep call-depth budget runs
+// 120,000 statements before it is stopped, which takes well over a
+// millisecond.
+func TestElapsedRecorded(t *testing.T) {
+	rep := small(t, campaign.Config{
+		Subjects: []campaign.Subject{{Name: "looper", Source: loopSubject}},
+		Seed:     1,
+		Fuel:     1_000_000,
+		MaxDepth: 20_000,
+		Timeout:  time.Minute,
+	})
+	if rep.Timeout == 0 {
+		t.Fatal("no timeout mutants")
+	}
+	for _, o := range rep.Outcomes {
+		if o.Status == campaign.StatusTimeout && o.ElapsedMS <= 0 {
+			t.Errorf("timeout mutant %d: elapsed_ms = %d, want > 0 (%s)", o.MutantID, o.ElapsedMS, o.Detail)
+		}
 	}
 }
 

@@ -50,9 +50,6 @@ type Info struct {
 	TypeOf    map[ast.Expr]types.Type
 	GotoTgt   map[*ast.GotoStmt]*LabelInfo
 	LabelOf   map[*ast.LabeledStmt]*LabelInfo
-	// EnclosingRoutine maps every statement to the routine whose body
-	// (directly) contains it.
-	EnclosingRoutine map[ast.Stmt]*Routine
 
 	Errors ErrorList
 
@@ -170,17 +167,29 @@ func (in *Info) VarOf(e ast.Expr) *VarSym {
 // Analyze resolves and type-checks prog. The returned Info is usable even
 // when errors are present (err is the non-empty error list).
 func Analyze(prog *ast.Program) (*Info, error) {
+	// Size TypeOf and Uses up front: every checked expression gets a
+	// type and most identifiers a symbol, so growing the maps entry by
+	// entry would rehash them several times.
+	var exprs, idents int
+	ast.Inspect(prog, func(n ast.Node) bool {
+		if _, ok := n.(ast.Expr); ok {
+			exprs++
+			if _, ok := n.(*ast.Ident); ok {
+				idents++
+			}
+		}
+		return true
+	})
 	c := &checker{
 		info: &Info{
-			Program:          prog,
-			RoutineOf:        make(map[*ast.Routine]*Routine),
-			Uses:             make(map[*ast.Ident]Symbol),
-			Calls:            make(map[ast.Node]*Routine),
-			Builtin:          make(map[ast.Node]*Builtin),
-			TypeOf:           make(map[ast.Expr]types.Type),
-			GotoTgt:          make(map[*ast.GotoStmt]*LabelInfo),
-			LabelOf:          make(map[*ast.LabeledStmt]*LabelInfo),
-			EnclosingRoutine: make(map[ast.Stmt]*Routine),
+			Program:   prog,
+			RoutineOf: make(map[*ast.Routine]*Routine),
+			Uses:      make(map[*ast.Ident]Symbol, idents),
+			Calls:     make(map[ast.Node]*Routine),
+			Builtin:   make(map[ast.Node]*Builtin),
+			TypeOf:    make(map[ast.Expr]types.Type, exprs),
+			GotoTgt:   make(map[*ast.GotoStmt]*LabelInfo),
+			LabelOf:   make(map[*ast.LabeledStmt]*LabelInfo),
 		},
 	}
 	c.universe = newScope(nil)
@@ -469,7 +478,6 @@ func (c *checker) checkStmt(s ast.Stmt, r *Routine, sc *scope) {
 	if s == nil {
 		return
 	}
-	c.info.EnclosingRoutine[s] = r
 	switch s := s.(type) {
 	case *ast.CompoundStmt:
 		for _, cs := range s.Stmts {

@@ -83,10 +83,6 @@ type Result struct {
 	Program *ast.Program
 	Info    *sem.Info
 
-	// OrigProgram/OrigInfo describe the untouched input.
-	OrigProgram *ast.Program
-	OrigInfo    *sem.Info
-
 	// Origins maps transformed AST nodes to the original nodes they were
 	// derived from (identity for untouched constructs, the source loop
 	// for loop-unit bodies, the original goto/call for inserted glue).
@@ -182,8 +178,6 @@ func Apply(info *sem.Info) (*Result, error) {
 func ApplyStages(info *sem.Info, stages Stages) (*Result, error) {
 	clone, cm := ast.Clone(info.Program)
 	res := &Result{
-		OrigProgram: info.Program,
-		OrigInfo:    info,
 		Origins:     cm,
 		Units:       make(map[string]UnitOrigin),
 		Added:       make(map[string][]AddedParam),
