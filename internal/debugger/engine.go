@@ -3,7 +3,7 @@ package debugger
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"gadt/internal/assertion"
 	"gadt/internal/exectree"
@@ -73,6 +73,13 @@ type TestLookup interface {
 	Judge(n *exectree.Node) Verdict
 }
 
+// Slicer computes dynamic slices of the session's execution tree (Section
+// 7). Implemented by *dynamic.Recorder and by gadt.Run, which builds its
+// recorder on the first request.
+type Slicer interface {
+	SliceOnOutput(t *exectree.Tree, n *exectree.Node, output string) (*dynamic.TreeSlice, error)
+}
+
 // Options configures a debugging session.
 type Options struct {
 	Strategy Strategy
@@ -86,9 +93,9 @@ type Options struct {
 	Tests TestLookup
 
 	// Slicing enables execution-tree pruning on "error on output X"
-	// answers. Requires Recorder.
-	Slicing  bool
-	Recorder *dynamic.Recorder
+	// answers. Requires Slicer.
+	Slicing bool
+	Slicer  Slicer
 
 	// Meta, when non-nil, improves query rendering for transformed
 	// programs (logical parameter modes, loop-unit presentation,
@@ -372,10 +379,10 @@ func (s *Session) judge(n *exectree.Node) (Answer, error) {
 // reports whether the view actually changed (so divide-and-query knows
 // to rebuild its weight memo).
 func (s *Session) applySlice(n *exectree.Node, output string) bool {
-	if !s.Opts.Slicing || s.Opts.Recorder == nil || output == "" {
+	if !s.Opts.Slicing || s.Opts.Slicer == nil || output == "" {
 		return false
 	}
-	sl, err := s.Opts.Recorder.SliceOnOutput(s.Tree, n, output)
+	sl, err := s.Opts.Slicer.SliceOnOutput(s.Tree, n, output)
 	if err != nil {
 		return false // conservatively keep the full view
 	}
@@ -714,52 +721,71 @@ func (s *Session) runBottomUp() (*exectree.Node, error) {
 // query renders the question for a node, using transformation metadata
 // when available (Section 6.1: the user sees original constructs).
 func (s *Session) query(n *exectree.Node) *Query {
-	modes := s.displayModes(n)
-	var parts []string
+	var added []transform.AddedParam
+	if s.Opts.Meta != nil {
+		added = s.Opts.Meta.Added[n.Unit.Name]
+	}
+	buf := s.appendUnitName(make([]byte, 0, 128), n)
+	open := len(buf)
+	// part starts the next "name: value" entry of the argument list.
+	part := func(label, name string) {
+		if len(buf) == open {
+			buf = append(buf, '(')
+		} else {
+			buf = append(buf, ", "...)
+		}
+		buf = append(buf, label...)
+		buf = append(buf, name...)
+		buf = append(buf, ": "...)
+	}
 	for _, b := range n.Ins {
 		mode := b.Mode
-		if m, ok := modes[b.Name]; ok {
+		if m, ok := displayMode(added, b.Name); ok {
 			mode = m
 		}
 		if mode == ast.Value {
-			parts = append(parts, fmt.Sprintf("In %s: %s", b.Name, formatVal(b.Value)))
+			part("In ", b.Name)
+			buf = interp.AppendValue(buf, b.Value)
 		}
 	}
 	for _, b := range n.Outs {
 		if s.isExitCond(n, b.Name) {
-			parts = append(parts, "Exit: "+s.exitDescription(b))
+			part("Exit", "")
+			buf = append(buf, s.exitDescription(b)...)
 			continue
 		}
 		// Globals passed by reference only for alias safety are
 		// logically inputs; suppress their exit value.
-		if m, ok := modes[b.Name]; ok && m == ast.Value {
+		if m, ok := displayMode(added, b.Name); ok && m == ast.Value {
 			continue
 		}
-		parts = append(parts, fmt.Sprintf("Out %s: %s", b.Name, formatVal(b.Value)))
+		part("Out ", b.Name)
+		buf = interp.AppendValue(buf, b.Value)
 	}
-	text := s.renderUnitName(n)
-	if len(parts) > 0 {
-		text += "(" + strings.Join(parts, ", ") + ")"
+	if len(buf) > open {
+		buf = append(buf, ')')
 	}
 	if n.Unit.Kind == ast.FuncKind {
-		text += " = " + formatVal(n.Result)
+		buf = append(buf, " = "...)
+		buf = interp.AppendValue(buf, n.Result)
 	}
-	text += "?"
-	return &Query{Node: n, Text: text, Outputs: n.OutputNames()}
-}
-
-func formatVal(v interp.Value) string {
-	return interp.FormatValue(v)
+	buf = append(buf, '?')
+	return &Query{Node: n, Text: string(buf), Outputs: n.OutputNames()}
 }
 
 // renderUnitName presents loop units as their original loop construct.
 func (s *Session) renderUnitName(n *exectree.Node) string {
+	return string(s.appendUnitName(nil, n))
+}
+
+// appendUnitName appends renderUnitName(n) to dst.
+func (s *Session) appendUnitName(dst []byte, n *exectree.Node) []byte {
 	if s.Opts.Meta == nil {
-		return n.Unit.Name
+		return append(dst, n.Unit.Name...)
 	}
 	u, ok := s.Opts.Meta.Units[n.Unit.Name]
 	if !ok || u.Kind != transform.LoopUnit {
-		return n.Unit.Name
+		return append(dst, n.Unit.Name...)
 	}
 	kind := "loop"
 	switch u.Loop.(type) {
@@ -776,29 +802,27 @@ func (s *Session) renderUnitName(n *exectree.Node) string {
 	for p := n.Parent; p != nil && p.Unit == n.Unit; p = p.Parent {
 		iter++
 	}
-	pos := ""
+	dst = append(dst, kind...)
+	dst = append(dst, " in "...)
+	dst = append(dst, u.RoutineName...)
 	if u.Loop != nil && u.Loop.Pos().IsValid() {
-		pos = fmt.Sprintf(" at %s", u.Loop.Pos())
+		dst = append(dst, " at "...)
+		dst = u.Loop.Pos().Append(dst)
 	}
-	return fmt.Sprintf("%s in %s%s, iteration %d", kind, u.RoutineName, pos, iter)
+	dst = append(dst, ", iteration "...)
+	return strconv.AppendInt(dst, int64(iter), 10)
 }
 
-// displayModes returns logical parameter modes from the transformation
-// metadata (globals passed by reference for alias reasons still display
-// as `in`).
-func (s *Session) displayModes(n *exectree.Node) map[string]ast.ParamMode {
-	if s.Opts.Meta == nil {
-		return nil
-	}
-	added := s.Opts.Meta.Added[n.Unit.Name]
-	if len(added) == 0 {
-		return nil
-	}
-	m := make(map[string]ast.ParamMode, len(added))
+// displayMode returns the logical parameter mode of an added parameter
+// from the transformation metadata (globals passed by reference for
+// alias reasons still display as `in`). The last entry of a name wins.
+func displayMode(added []transform.AddedParam, name string) (mode ast.ParamMode, ok bool) {
 	for _, a := range added {
-		m[a.Name] = a.Display
+		if a.Name == name {
+			mode, ok = a.Display, true
+		}
 	}
-	return m
+	return mode, ok
 }
 
 // isExitCond reports whether the named output is the unit's synthetic

@@ -93,7 +93,7 @@ func TestSlicingReducesQuestions(t *testing.T) {
 	}
 
 	sliced := debugger.New(res.Tree, &debugger.IntendedOracle{Ref: ref}, debugger.Options{
-		Slicing: true, Recorder: rec,
+		Slicing: true, Slicer: rec,
 	})
 	slicedOut, err := sliced.Run()
 	if err != nil {
@@ -131,7 +131,7 @@ func TestSection8GADTSession(t *testing.T) {
 	res, rec := traceIt(t, paper.Sqrtest)
 	ref := analyze(t, paper.SqrtestFixed)
 	sess := debugger.New(res.Tree, &debugger.IntendedOracle{Ref: ref}, debugger.Options{
-		Slicing: true, Recorder: rec, Tests: fakeTests{},
+		Slicing: true, Slicer: rec, Tests: fakeTests{},
 	})
 	out, err := sess.Run()
 	if err != nil {
@@ -304,7 +304,7 @@ func TestTransformedProgramDebugging(t *testing.T) {
 		t.Fatal(res.Err)
 	}
 	sess := debugger.New(res.Tree, &debugger.IntendedOracle{Ref: tfixed.Info}, debugger.Options{
-		Slicing: true, Recorder: rec, Meta: tbuggy,
+		Slicing: true, Slicer: rec, Meta: tbuggy,
 	})
 	out, err := sess.Run()
 	if err != nil {
@@ -597,7 +597,7 @@ func TestDivideAndQueryWithSlicing(t *testing.T) {
 	ref := analyze(t, paper.SqrtestFixed)
 	sess := debugger.New(res.Tree, &debugger.IntendedOracle{Ref: ref}, debugger.Options{
 		Strategy: debugger.DivideAndQuery,
-		Slicing:  true, Recorder: rec,
+		Slicing:  true, Slicer: rec,
 	})
 	out, err := sess.Run()
 	if err != nil {
@@ -613,7 +613,7 @@ func TestBottomUpWithSlicing(t *testing.T) {
 	ref := analyze(t, paper.SqrtestFixed)
 	sess := debugger.New(res.Tree, &debugger.IntendedOracle{Ref: ref}, debugger.Options{
 		Strategy: debugger.BottomUp,
-		Slicing:  true, Recorder: rec,
+		Slicing:  true, Slicer: rec,
 	})
 	out, err := sess.Run()
 	if err != nil {

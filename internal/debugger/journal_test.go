@@ -24,7 +24,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	live, err := debugger.New(res.Tree, &debugger.JournalingOracle{Inner: oracle, Journal: jw},
-		debugger.Options{Slicing: true, Recorder: rec, Metrics: reg}).Run()
+		debugger.Options{Slicing: true, Slicer: rec, Metrics: reg}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	// Replay on a fresh trace of the same program.
 	res2, rec2 := traceIt(t, paper.Sqrtest)
 	replayed, err := debugger.New(res2.Tree, debugger.NewReplayOracle(j),
-		debugger.Options{Slicing: true, Recorder: rec2}).Run()
+		debugger.Options{Slicing: true, Slicer: rec2}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,9 @@
 //     transformation to a form without global side-effects
 //     (package transform).
 //  2. Tracing phase — execution of the transformed program building the
-//     execution tree plus the dynamic dependence graph
-//     (packages exectree, slicing/dynamic).
+//     execution tree (package exectree); the dynamic dependence graph
+//     (package slicing/dynamic) is built on the first slice request by
+//     deterministic replay.
 //  3. Debugging phase — algorithmic debugging with assertion lookup,
 //     category-partition test lookup and program slicing
 //     (packages debugger, assertion, tgen).
@@ -29,6 +30,8 @@ package gadt
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 
 	"gadt/internal/analysis/lint"
 	"gadt/internal/assertion"
@@ -139,15 +142,21 @@ func (s *System) LintHints() map[string]float64 {
 }
 
 // Run is a completed tracing phase: the execution tree of the program
-// (transformed unless TraceOpts.Original) plus the dynamic dependence
-// graph.
+// (transformed unless TraceOpts.Original). The dynamic dependence graph
+// is not recorded by the trace; SliceOnOutput builds it on first use.
 type Run struct {
-	System   *System
-	Tree     *exectree.Tree
-	Recorder *dynamic.Recorder
-	Output   string
-	RunErr   error // runtime error of the traced execution, if any
-	Steps    int
+	System *System
+	Tree   *exectree.Tree
+	Output string
+	RunErr error // runtime error of the traced execution, if any
+	Steps  int
+
+	info *sem.Info // the analysis that was executed
+	opts TraceOpts
+
+	recOnce sync.Once
+	rec     *dynamic.Recorder
+	recErr  error
 }
 
 // TraceOpts configures a tracing phase. Oracle reads MaxSteps and
@@ -187,26 +196,73 @@ func (s *System) Trace(o TraceOpts) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := dynamic.NewRecorder(info)
 	sp := s.Tracer.Start("trace")
 	tr := exectree.TraceWith(info, exectree.TraceOpts{
 		Input:    o.Input,
 		Metrics:  s.Metrics,
-		Extra:    []interp.EventSink{rec},
 		MaxSteps: o.MaxSteps,
 		MaxDepth: o.MaxDepth,
 	})
 	sp.End()
-	rec.RecordMetrics(s.Metrics)
 	return &Run{
-		System:   s,
-		Tree:     tr.Tree,
-		Recorder: rec,
-		Output:   tr.Output,
-		RunErr:   tr.Err,
-		Steps:    tr.Steps,
+		System: s,
+		Tree:   tr.Tree,
+		Output: tr.Output,
+		RunErr: tr.Err,
+		Steps:  tr.Steps,
+		info:   info,
+		opts:   o,
 	}, nil
 }
+
+// SliceOnOutput computes the dynamic slice of the execution tree t on
+// the given output of invocation n (see dynamic.Recorder.SliceOnOutput).
+// The first call builds the dynamic dependence graph by replaying the
+// traced program once with the same input and budgets; the interpreter
+// is deterministic, so the replay's invocation IDs are the tree's node
+// IDs. Safe for concurrent use: sessions sharing one Run share one
+// replay.
+func (r *Run) SliceOnOutput(t *exectree.Tree, n *exectree.Node, output string) (*dynamic.TreeSlice, error) {
+	r.recOnce.Do(r.record)
+	if r.recErr != nil {
+		return nil, r.recErr
+	}
+	return r.rec.SliceOnOutput(t, n, output)
+}
+
+// record replays the traced execution into a dynamic.Recorder and
+// checks that the replay retraced the original run.
+func (r *Run) record() {
+	rec := dynamic.NewRecorder(r.info)
+	calls := &callCounter{}
+	var out strings.Builder
+	it := interp.New(r.info, interp.Config{
+		Input:    strings.NewReader(r.opts.Input),
+		Output:   &out,
+		Sink:     interp.MultiSink{rec, calls},
+		MaxSteps: r.opts.MaxSteps,
+		MaxDepth: r.opts.MaxDepth,
+	})
+	_ = it.Run() // the traced run already reported the same error
+	m := r.System.Metrics
+	m.Counter("slicing.dynamic.replays").Inc()
+	rec.RecordMetrics(m)
+	if it.Steps() != r.Steps || out.String() != r.Output || calls.n != r.Tree.Size() {
+		r.recErr = fmt.Errorf("gadt: replay diverged from the traced run (%d steps, %d calls; traced %d steps, %d nodes)",
+			it.Steps(), calls.n, r.Steps, r.Tree.Size())
+		return
+	}
+	r.rec = rec
+}
+
+// callCounter counts invocations, so a replay can be checked against
+// the traced tree's node count.
+type callCounter struct {
+	interp.NopSink
+	n int
+}
+
+func (c *callCounter) EnterCall(*interp.CallInfo) { c.n++ }
 
 // TraceLimited is Trace of the transformed program under budgets.
 func (s *System) TraceLimited(input string, maxSteps, maxDepth int) (*Run, error) {
@@ -239,7 +295,7 @@ func (r *Run) Debug(oracle debugger.Oracle, cfg DebugConfig) (*debugger.Outcome,
 		Assertions:       cfg.Assertions,
 		Tests:            cfg.Tests,
 		Slicing:          cfg.Slicing,
-		Recorder:         r.Recorder,
+		Slicer:           r,
 		Meta:             r.System.Transformed,
 		Hints:            cfg.Hints,
 		MaxQuestions:     cfg.MaxQuestions,

@@ -8,10 +8,11 @@
 package interp
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
-	"strings"
+	"strconv"
 
 	"gadt/internal/pascal/types"
 )
@@ -332,27 +333,58 @@ func ValuesEqual(a, b Value) bool {
 }
 
 // FormatValue renders a value the way the debugger presents it to the
-// user: `[1, 2]` for arrays (trailing zero elements of large arrays are
-// elided as `, ...`), `(f: v, ...)` for records.
+// user: `[1, 2]` for arrays (the all-zero tail of an array is elided),
+// `(f: v, ...)` for records, `'s'` for strings.
 func FormatValue(v Value) string {
+	return string(AppendValue(nil, v))
+}
+
+// AppendValue appends FormatValue(v) to dst and returns the extended
+// buffer, so callers building larger text render without intermediate
+// strings.
+func AppendValue(dst []byte, v Value) []byte {
+	return appendValue(dst, v, false)
+}
+
+// AppendLiteral is AppendValue with every string, nested ones included,
+// written as a Pascal literal: embedded quotes are doubled, so values
+// that differ only in quoting never render alike. Use it for text that
+// keys a lookup; FormatValue stays the display form.
+func AppendLiteral(dst []byte, v Value) []byte {
+	return appendValue(dst, v, true)
+}
+
+func appendValue(dst []byte, v Value, literal bool) []byte {
 	switch v.kind {
 	case KindUndef:
-		return "<undef>"
+		return append(dst, "<undef>"...)
 	case KindInt:
-		return fmt.Sprintf("%d", v.num)
+		return strconv.AppendInt(dst, v.num, 10)
 	case KindReal:
-		s := fmt.Sprintf("%g", v.realv())
-		if !strings.ContainsAny(s, ".eE") {
-			s += ".0"
+		start := len(dst)
+		dst = strconv.AppendFloat(dst, v.realv(), 'g', -1, 64)
+		if !bytes.ContainsAny(dst[start:], ".eE") {
+			dst = append(dst, ".0"...)
 		}
-		return s
+		return dst
 	case KindBool:
 		if v.boolv() {
-			return "true"
+			return append(dst, "true"...)
 		}
-		return "false"
+		return append(dst, "false"...)
 	case KindStr:
-		return fmt.Sprintf("'%s'", v.strv())
+		dst = append(dst, '\'')
+		if str := v.strv(); literal {
+			for i := 0; i < len(str); i++ {
+				if str[i] == '\'' {
+					dst = append(dst, '\'')
+				}
+				dst = append(dst, str[i])
+			}
+		} else {
+			dst = append(dst, str...)
+		}
+		return append(dst, '\'')
 	case KindArray:
 		// Elide the maximal all-zero tail to keep queries readable: the
 		// paper prints sqrtest's 10-element parameter array as [1, 2].
@@ -361,20 +393,30 @@ func FormatValue(v Value) string {
 		for n > 0 && isZeroScalar(a.Elems[n-1]) {
 			n--
 		}
-		parts := make([]string, 0, n)
+		dst = append(dst, '[')
 		for i := 0; i < n; i++ {
-			parts = append(parts, FormatValue(a.Elems[i]))
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = appendValue(dst, a.Elems[i], literal)
 		}
-		return "[" + strings.Join(parts, ", ") + "]"
+		return append(dst, ']')
 	case KindRecord:
 		r := v.rec()
-		parts := make([]string, len(r.Fields))
+		dst = append(dst, '(')
 		for i := range r.Fields {
-			parts[i] = fmt.Sprintf("%s: %s", r.Names[i], FormatValue(r.Fields[i]))
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = append(dst, r.Names[i]...)
+			dst = append(dst, ": "...)
+			dst = appendValue(dst, r.Fields[i], literal)
 		}
-		return "(" + strings.Join(parts, ", ") + ")"
+		return append(dst, ')')
 	}
-	return fmt.Sprintf("<%s>", v.kind)
+	dst = append(dst, '<')
+	dst = append(dst, v.kind.String()...)
+	return append(dst, '>')
 }
 
 func isZeroScalar(v Value) bool {

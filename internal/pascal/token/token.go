@@ -6,7 +6,10 @@
 // in their canonical lower-case form.
 package token
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Kind identifies the lexical class of a token.
 type Kind int
@@ -192,14 +195,20 @@ type Pos struct {
 // IsValid reports whether the position carries real line information.
 func (p Pos) IsValid() bool { return p.Line > 0 }
 
-func (p Pos) String() string {
+func (p Pos) String() string { return string(p.Append(nil)) }
+
+// Append appends p.String() to dst and returns the extended buffer.
+func (p Pos) Append(dst []byte) []byte {
 	if !p.IsValid() {
-		return "-"
+		return append(dst, '-')
 	}
-	if p.File == "" {
-		return fmt.Sprintf("%d:%d", p.Line, p.Col)
+	if p.File != "" {
+		dst = append(dst, p.File...)
+		dst = append(dst, ':')
 	}
-	return fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Col)
+	dst = strconv.AppendInt(dst, int64(p.Line), 10)
+	dst = append(dst, ':')
+	return strconv.AppendInt(dst, int64(p.Col), 10)
 }
 
 // Before reports whether p occurs before q in the same file.

@@ -18,15 +18,16 @@ import (
 // change the result:
 //
 //	artifact  parse + sem + transform + lint hints   (input-independent)
-//	trace     execution tree + dynamic-dependence recorder + output
+//	trace     execution tree + output
 //	          (adds the input hash and the fuel/depth budgets)
 //
 // Entries are built once under singleflight — concurrent sessions for
 // the same program block on the first builder instead of duplicating
 // work — and shared read-only afterwards: the debugger keeps all
-// per-session state (view, memo, assertion DB) outside the tree, and
-// dynamic.Recorder.SliceOnOutput only reads recorded events, so one
-// trace can back any number of concurrent sessions. Build errors are
+// per-session state (view, memo, assertion DB) outside the tree. A trace
+// holds no dynamic-dependence recorder until some session slices; the
+// first gadt.Run.SliceOnOutput builds it once by replay and later slices
+// only read it, so one trace can back any number of concurrent sessions. Build errors are
 // cached too (they are deterministic for a given key), which makes
 // hostile resubmission of a fuel bomb cost one lookup, not one trace.
 

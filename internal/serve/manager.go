@@ -244,7 +244,7 @@ func (m *Manager) prepare(sess *Session, req CreateRequest) {
 			Strategy:     sess.Strategy,
 			Assertions:   sess.db,
 			Slicing:      !req.NoSlicing,
-			Recorder:     tr.Recorder,
+			Slicer:       tr,
 			Meta:         art.System.Transformed,
 			Hints:        art.Hints,
 			MaxQuestions: req.MaxQuestions,

@@ -1,7 +1,6 @@
 package tgen
 
 import (
-	"strings"
 	"sync"
 
 	"gadt/internal/debugger"
@@ -34,36 +33,36 @@ func NewCallDB() *CallDB {
 var _ debugger.TestLookup = (*CallDB)(nil)
 
 // callKey renders the invocation's identity: unit name plus entry
-// values in parameter order.
+// values in parameter order. Strings are Pascal literals (quotes
+// doubled), so no string argument can forge the separators between
+// arguments.
 func callKey(n *exectree.Node) string {
-	var b strings.Builder
-	b.WriteString(n.Unit.Name)
-	b.WriteByte('(')
+	b := append(make([]byte, 0, 64), n.Unit.Name...)
+	b = append(b, '(')
 	for i, in := range n.Ins {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(interp.FormatValue(in.Value))
+		b = interp.AppendLiteral(b, in.Value)
 	}
-	b.WriteByte(')')
-	return b.String()
+	return string(append(b, ')'))
 }
 
 // callOuts renders the invocation's observable behavior: exit values in
 // parameter order plus the function result.
 func callOuts(n *exectree.Node) string {
-	var b strings.Builder
+	b := make([]byte, 0, 32)
 	for i, out := range n.Outs {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(interp.FormatValue(out.Value))
+		b = interp.AppendLiteral(b, out.Value)
 	}
 	if n.Unit.Kind == ast.FuncKind {
-		b.WriteByte('=')
-		b.WriteString(interp.FormatValue(n.Result))
+		b = append(b, '=')
+		b = interp.AppendLiteral(b, n.Result)
 	}
-	return b.String()
+	return string(b)
 }
 
 // AddPassing records one completed invocation as intended behavior.

@@ -143,3 +143,43 @@ func TestCallDBConcurrentJudge(t *testing.T) {
 		<-done
 	}
 }
+
+// quotedArgs calls u twice with string arguments that key alike when
+// embedded quotes are not escaped; the calls produce different outputs:
+//
+//	u("a','b", "") and u("a", "b','") both render as u('a','b','')
+const quotedArgs = `
+program quoted;
+var r1, r2: integer;
+
+procedure u(x, y: string; var r: integer);
+begin
+  if x = 'a' then r := 1 else r := 2;
+end;
+
+begin
+  u('a'',''b', '', r1);
+  u('a', 'b'',''', r2);
+  writeln(r1, r2);
+end.
+`
+
+// TestCallDBQuotedStringsKeyApart pins the key collision on embedded
+// quotes: the two calls must be harvested as two entries, and each
+// must be recalled as Correct against its own outputs, not judged
+// Incorrect against the other call's.
+func TestCallDBQuotedStringsKeyApart(t *testing.T) {
+	tree := calldbTrace(t, quotedArgs)
+	db := tgen.NewCallDB().HarvestTree(tree)
+	if db.Len() != 2 {
+		t.Fatalf("harvested %d calls, want 2", db.Len())
+	}
+	tree.Walk(func(n *exectree.Node) bool {
+		if !n.IsRoot() {
+			if v := db.Judge(n); v != debugger.Correct {
+				t.Errorf("%s judged %v, want Correct", n.Label(nil), v)
+			}
+		}
+		return true
+	})
+}
