@@ -4,7 +4,6 @@
 #   make build      - compile every package and command
 #   make test       - run the test suite
 #   make bench      - run the benchmark suite once
-#   make bench-json - write BENCH_debug.json (queries + ns/op per strategy)
 #   make bench-save    - record interpreter benchmarks to bench.old.txt
 #   make bench-compare - re-run them and diff against bench.old.txt
 #   make bench-interp  - write BENCH_interp.json (hot path vs recorded baseline)
@@ -24,7 +23,7 @@ FUZZTIME ?= 5s
 BENCH_PATTERN ?= BenchmarkInterp|BenchmarkVM
 BENCH_COUNT ?= 3
 
-.PHONY: check build test bench bench-json bench-save bench-compare bench-interp bench-vm \
+.PHONY: check build test bench bench-save bench-compare bench-interp bench-vm \
 	mutate diff trace-smoke serve-smoke lint staticcheck fmt smoke-journal smoke-fuzz
 
 # Where trace-smoke leaves its artifacts (CI uploads this directory).
@@ -82,9 +81,6 @@ test:
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
-
-bench-json:
-	$(GO) run ./cmd/gadt-bench -o BENCH_debug.json
 
 # Perf workflow (see README "Performance"): record the current numbers
 # before a change, then compare after it. Uses benchstat when installed,

@@ -33,6 +33,7 @@ import (
 	"gadt/internal/pascal/interp"
 	"gadt/internal/progen"
 	"gadt/internal/tgen"
+	"gadt/internal/transform"
 )
 
 // Subject is one base program to mutate. Its own (unmutated) execution
@@ -478,16 +479,14 @@ func eval(cfg Config, j job) (o MutantOutcome) {
 	o = skeleton(j)
 	defer func() { o.ElapsedMS = time.Since(start).Milliseconds() }()
 
-	sys, err := gadt.Load(j.subject.Name+".pas", j.mutant.Source)
+	// The mutant's own AST copy is transformed in place: no print, parse
+	// or second copy of the program.
+	res, err := transform.InPlace(j.mutant.Program(), transform.AllStages())
 	if err != nil {
 		o.Status, o.Detail = StatusStillborn, err.Error()
 		return o
 	}
-	res, err := sys.Transform()
-	if err != nil {
-		o.Status, o.Detail = StatusStillborn, err.Error()
-		return o
-	}
+	sys := gadt.FromTransformed(j.subject.Name+".pas", res)
 	be, _ := backend.Select(cfg.Backend)
 	var out strings.Builder
 	r := be.NewRunner("", res.Info, interp.Config{

@@ -91,6 +91,15 @@ func LoadObserved(file, source string, m *obs.Registry, t *obs.Tracer) (*System,
 	return &System{File: file, Source: source, Info: info, Metrics: m, Tracer: t}, nil
 }
 
+// FromTransformed wraps an already-transformed program as a system,
+// for a caller that built and transformed the AST itself (the mutation
+// campaign). It has no analysis of the original program: Info is nil,
+// so Trace and Oracle with TraceOpts.Original fail, and the analyses of
+// the original (Lint, StaticSlicer) must not be used.
+func FromTransformed(file string, res *transform.Result) *System {
+	return &System{File: file, Transformed: res}
+}
+
 // Transform runs the transformation phase (idempotent).
 func (s *System) Transform() (*transform.Result, error) {
 	if s.Transformed != nil {
@@ -178,6 +187,9 @@ type TraceOpts struct {
 // transformed program (transforming on first use) unless original.
 func (s *System) traceInfo(original bool) (*sem.Info, error) {
 	if original {
+		if s.Info == nil {
+			return nil, fmt.Errorf("gadt: %s has no analysis of the original program", s.File)
+		}
 		return s.Info, nil
 	}
 	res, err := s.Transform()

@@ -17,11 +17,14 @@
 //	negate-cond       if/while/repeat condition wrapped in `not`
 //	drop-stmt         assignment or call statement deleted
 //
-// Every candidate mutant is validated with the semantic analyzer;
+// The subject is parsed and analyzed once. Every candidate mutant is
+// an in-place edit of that program, validated by re-checking the body of
+// the one routine it edits (sem.Info.CheckBody) and then undone;
 // mutants that no longer type-check are discarded (stillborn), so the
-// returned set contains only executable programs. Enumeration order,
-// mutant IDs and sampling are fully deterministic for a given
-// (source, Config) pair.
+// returned set contains only executable programs. A mutant keeps its
+// edit, not a program: Mutant.Program builds its AST on demand.
+// Enumeration order, mutant IDs and sampling are fully deterministic for
+// a given (source, Config) pair.
 package mutate
 
 import (
@@ -79,7 +82,7 @@ type Mutant struct {
 	Pos token.Pos
 	// Description is human-readable, e.g. `rel-flip < -> <= in isprime`.
 	Description string
-	// Source is the complete mutated program.
+	// Source is the complete mutated program, as printed from Program().
 	Source string
 	// Equivalent marks mutants that static triage proved
 	// behaviour-preserving (see TriageEquivalent); the campaign reports
@@ -90,8 +93,21 @@ type Mutant struct {
 	EquivReason string
 
 	// orig points at the mutation site in the original program, the
-	// handle triage uses to consult the value analysis.
+	// handle triage uses to consult the value analysis; base is that
+	// program, which is never edited once enumeration returns.
 	orig *site
+	base *ast.Program
+}
+
+// Program returns a fresh copy of the subject program with this
+// mutant's edit applied. It prints as Source and has the statements
+// parsing Source would give, but its source positions point into the
+// subject's own source. The caller owns the copy. Safe for concurrent
+// use.
+func (m *Mutant) Program() *ast.Program {
+	p, anchor := ast.CopyFind(m.base, m.orig.anchor)
+	m.orig.apply(anchor)
+	return p
 }
 
 // Config controls enumeration.
@@ -132,17 +148,19 @@ var arithAlts = map[token.Kind][]token.Kind{
 	token.Slash: {token.Star},
 }
 
-// site is one latent mutation: apply edits the counterpart (in a copy
-// of the program) of the recorded original node and returns the undo
-// that restores the copy, or nil when the edit does not apply. Every
-// edit is a single field or slice-slot write, so undo writes the old
-// value back.
+// site is one latent mutation. apply edits anchor, a node of the
+// original program or its copy in a copy of the program, and returns
+// the undo that restores it. Every edit is a single field write, so
+// undo writes the old value back. owner is the routine whose body holds
+// the site (nil for the program body).
 type site struct {
-	op    Op
-	unit  string
-	pos   token.Pos
-	desc  string
-	apply func(counterpart func(ast.Node) ast.Node) (undo func())
+	op     Op
+	unit   string
+	owner  *ast.Routine
+	pos    token.Pos
+	desc   string
+	anchor ast.Node
+	apply  func(anchor ast.Node) (undo func())
 
 	// Triage metadata. node is the original-program construct the
 	// mutation edits (nil opts the site out of static triage); altOp and
@@ -183,39 +201,21 @@ func EnumerateProgram(file, source string, cfg Config) (*Enumeration, error) {
 		return nil, fmt.Errorf("mutate: %w", err)
 	}
 
-	enabled := make(map[Op]bool)
-	ops := cfg.Ops
-	if len(ops) == 0 {
-		ops = AllOps()
-	}
-	for _, op := range ops {
-		enabled[op] = true
-	}
-
-	var sites []*site
-	collectBlock(prog.Block, prog.Name, nil, enabled, &sites)
+	sites := collectSites(prog, cfg.Ops)
 	siteVec := cfg.Metrics.CounterVec("mutate.sites", "op")
 	for _, st := range sites {
 		siteVec.With(string(st.op)).Inc()
 	}
 
-	// Every site edits one scratch copy of the program: apply, validate,
-	// print, undo. Undo leaves the copy equal to the original again; the
-	// only other writes into it are sem's UIDs, and a stale UID falls
-	// back to the resolution maps.
-	scratch, cm := ast.Clone(prog)
-	old2new := invert(cm)
-	lookup := func(n ast.Node) ast.Node { return old2new[n] }
+	// Every site edits the original program in place: apply, check the
+	// edited routine's body, print, undo.
 	var mutants []*Mutant
 	for i, st := range sites {
-		undo := st.apply(lookup)
-		if undo == nil {
-			continue
-		}
-		_, err := sem.Analyze(scratch)
+		undo := st.apply(st.anchor)
+		err := info.CheckBody(ownerOf(info, st))
 		var source string
 		if err == nil {
-			source = printer.Print(scratch)
+			source = printer.Print(prog)
 		}
 		undo()
 		if err != nil {
@@ -230,6 +230,7 @@ func EnumerateProgram(file, source string, cfg Config) (*Enumeration, error) {
 			Description: st.desc,
 			Source:      source,
 			orig:        st,
+			base:        prog,
 		})
 	}
 
@@ -245,12 +246,27 @@ func EnumerateProgram(file, source string, cfg Config) (*Enumeration, error) {
 	return &Enumeration{Prog: prog, Info: info, Mutants: mutants}, nil
 }
 
-func invert(cm ast.CloneMap) map[ast.Node]ast.Node {
-	inv := make(map[ast.Node]ast.Node, len(cm))
-	for nw, old := range cm {
-		inv[old] = nw
+// collectSites returns every site of the enabled operators (nil or
+// empty = all) in enumeration order.
+func collectSites(prog *ast.Program, ops []Op) []*site {
+	enabled := make(map[Op]bool)
+	if len(ops) == 0 {
+		ops = AllOps()
 	}
-	return inv
+	for _, op := range ops {
+		enabled[op] = true
+	}
+	var sites []*site
+	collectBlock(prog.Block, prog.Name, nil, enabled, &sites)
+	return sites
+}
+
+// ownerOf returns the routine symbol whose body holds st.
+func ownerOf(info *sem.Info, st *site) *sem.Routine {
+	if st.owner == nil {
+		return info.Main
+	}
+	return info.RoutineOf[st.owner]
 }
 
 // collectBlock gathers mutation sites for the block's own body
@@ -265,7 +281,7 @@ func collectBlock(b *ast.Block, unit string, owner *ast.Routine, enabled map[Op]
 	if owner != nil {
 		paramGroups(owner, groups)
 	}
-	collectBody(b.Body, unit, groups, enabled, sites)
+	collectBody(b.Body, unit, owner, groups, enabled, sites)
 }
 
 // varGroups returns, for each variable name declared in this block
@@ -314,8 +330,9 @@ func paramGroups(r *ast.Routine, groups map[string][]string) {
 	}
 }
 
-func collectBody(body ast.Stmt, unit string, groups map[string][]string, enabled map[Op]bool, sites *[]*site) {
+func collectBody(body ast.Stmt, unit string, owner *ast.Routine, groups map[string][]string, enabled map[Op]bool, sites *[]*site) {
 	// Statement-level sites: dropped statements and negated conditions.
+	first := len(*sites)
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CompoundStmt:
@@ -336,6 +353,9 @@ func collectBody(body ast.Stmt, unit string, groups map[string][]string, enabled
 		}
 		return true
 	})
+	for _, st := range (*sites)[first:] {
+		st.owner = owner
+	}
 }
 
 func collectDrops(parent ast.Node, stmts []ast.Stmt, unit string, enabled map[Op]bool, sites *[]*site) {
@@ -350,24 +370,24 @@ func collectDrops(parent ast.Node, stmts []ast.Stmt, unit string, enabled map[Op
 		}
 		i, s := i, s
 		*sites = append(*sites, &site{
-			op:   DropStmt,
-			unit: unit,
-			pos:  s.Pos(),
-			desc: fmt.Sprintf("drop-stmt `%s` in %s", firstLine(printer.PrintStmt(s)), unit),
-			node: s,
-			apply: func(counterpart func(ast.Node) ast.Node) func() {
-				var stmts []ast.Stmt
-				switch p := counterpart(parent).(type) {
+			op:     DropStmt,
+			unit:   unit,
+			pos:    s.Pos(),
+			desc:   fmt.Sprintf("drop-stmt `%s` in %s", firstLine(printer.PrintStmt(s)), unit),
+			node:   s,
+			anchor: parent,
+			apply: func(anchor ast.Node) func() {
+				// Delete the statement, as the parser drops an empty one.
+				var list *[]ast.Stmt
+				switch p := anchor.(type) {
 				case *ast.CompoundStmt:
-					stmts = p.Stmts
+					list = &p.Stmts
 				case *ast.RepeatStmt:
-					stmts = p.Stmts
-				default:
-					return nil
+					list = &p.Stmts
 				}
-				old := stmts[i]
-				stmts[i] = &ast.EmptyStmt{SemiPos: old.Pos()}
-				return func() { stmts[i] = old }
+				old := *list
+				*list = append(append(make([]ast.Stmt, 0, len(old)-1), old[:i]...), old[i+1:]...)
+				return func() { *list = old }
 			},
 		})
 	}
@@ -378,22 +398,21 @@ func collectNegate(stmt ast.Node, cond ast.Expr, kw, unit string, enabled map[Op
 		return
 	}
 	*sites = append(*sites, &site{
-		op:   NegateCond,
-		unit: unit,
-		pos:  cond.Pos(),
-		desc: fmt.Sprintf("negate-cond %s `%s` in %s", kw, firstLine(printer.PrintExpr(cond)), unit),
-		node: cond,
-		apply: func(counterpart func(ast.Node) ast.Node) func() {
+		op:     NegateCond,
+		unit:   unit,
+		pos:    cond.Pos(),
+		desc:   fmt.Sprintf("negate-cond %s `%s` in %s", kw, firstLine(printer.PrintExpr(cond)), unit),
+		node:   cond,
+		anchor: stmt,
+		apply: func(anchor ast.Node) func() {
 			var e *ast.Expr
-			switch s := counterpart(stmt).(type) {
+			switch s := anchor.(type) {
 			case *ast.IfStmt:
 				e = &s.Cond
 			case *ast.WhileStmt:
 				e = &s.Cond
 			case *ast.RepeatStmt:
 				e = &s.Cond
-			default:
-				return nil
 			}
 			old := *e
 			*e = &ast.UnaryExpr{OpPos: old.Pos(), Op: token.Not, X: old}
@@ -413,17 +432,15 @@ func collectOpFlip(e *ast.BinaryExpr, unit string, enabled map[Op]bool, sites *[
 	for _, alt := range alts {
 		alt := alt
 		*sites = append(*sites, &site{
-			op:    op,
-			unit:  unit,
-			pos:   e.Pos(),
-			desc:  fmt.Sprintf("%s %s -> %s in %s", op, e.Op, alt, unit),
-			node:  e,
-			altOp: alt,
-			apply: func(counterpart func(ast.Node) ast.Node) func() {
-				b, ok := counterpart(e).(*ast.BinaryExpr)
-				if !ok {
-					return nil
-				}
+			op:     op,
+			unit:   unit,
+			pos:    e.Pos(),
+			desc:   fmt.Sprintf("%s %s -> %s in %s", op, e.Op, alt, unit),
+			node:   e,
+			anchor: e,
+			altOp:  alt,
+			apply: func(anchor ast.Node) func() {
+				b := anchor.(*ast.BinaryExpr)
 				old := b.Op
 				b.Op = alt
 				return func() { b.Op = old }
@@ -439,16 +456,14 @@ func collectOffByOne(e *ast.IntLit, unit string, enabled map[Op]bool, sites *[]*
 	for _, delta := range []int64{1, -1} {
 		delta := delta
 		*sites = append(*sites, &site{
-			op:   ConstOffByOne,
-			unit: unit,
-			pos:  e.Pos(),
-			desc: fmt.Sprintf("const-off-by-one %d -> %d in %s", e.Value, e.Value+delta, unit),
-			node: e,
-			apply: func(counterpart func(ast.Node) ast.Node) func() {
-				l, ok := counterpart(e).(*ast.IntLit)
-				if !ok {
-					return nil
-				}
+			op:     ConstOffByOne,
+			unit:   unit,
+			pos:    e.Pos(),
+			desc:   fmt.Sprintf("const-off-by-one %d -> %d in %s", e.Value, e.Value+delta, unit),
+			node:   e,
+			anchor: e,
+			apply: func(anchor ast.Node) func() {
+				l := anchor.(*ast.IntLit)
 				old := l.Value
 				l.Value += delta
 				return func() { l.Value = old }
@@ -479,12 +494,10 @@ func collectSwap(id *ast.Ident, unit string, groups map[string][]string, enabled
 		pos:     id.Pos(),
 		desc:    fmt.Sprintf("var-swap %s -> %s in %s", id.Name, alt, unit),
 		node:    id,
+		anchor:  id,
 		altName: alt,
-		apply: func(counterpart func(ast.Node) ast.Node) func() {
-			n, ok := counterpart(id).(*ast.Ident)
-			if !ok {
-				return nil
-			}
+		apply: func(anchor ast.Node) func() {
+			n := anchor.(*ast.Ident)
 			old := n.Name
 			n.Name = alt
 			return func() { n.Name = old }

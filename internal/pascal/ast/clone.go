@@ -1,9 +1,9 @@
 package ast
 
 // CloneMap records, for every node of a cloned tree, the original node it
-// was copied from. It is the basis of the transformer's construct map
-// (paper Section 5.1): the debugger presents original constructs to the
-// user while operating on the transformed tree.
+// was copied from, for callers that relate many copied nodes back to
+// their originals (the sliced-program renderer, the diff harness's
+// shrinker). Copy and CopyFind skip it.
 type CloneMap map[Node]Node
 
 // Clone deep-copies a program and returns the copy together with a
@@ -14,30 +14,49 @@ func Clone(p *Program) (*Program, CloneMap) {
 	return q, c.m
 }
 
+// Copy deep-copies a program without recording a node map.
+func Copy(p *Program) *Program {
+	return (&cloner{}).program(p)
+}
+
+// CopyFind is Copy that also returns the copy of target, one node of p
+// (nil when target is not in p).
+func CopyFind(p *Program, target Node) (*Program, Node) {
+	c := &cloner{target: target}
+	q := c.program(p)
+	return q, c.found
+}
+
 // CloneStmt deep-copies a single statement subtree.
 func CloneStmt(s Stmt) Stmt {
-	c := &cloner{m: make(CloneMap)}
-	return c.stmt(s)
+	return (&cloner{}).stmt(s)
 }
 
 // CloneExpr deep-copies a single expression subtree.
 func CloneExpr(e Expr) Expr {
-	c := &cloner{m: make(CloneMap)}
-	return c.expr(e)
+	return (&cloner{}).expr(e)
 }
 
 // CloneTypeExpr deep-copies a single type denotation.
 func CloneTypeExpr(t TypeExpr) TypeExpr {
-	c := &cloner{m: make(CloneMap)}
-	return c.typeExpr(t)
+	return (&cloner{}).typeExpr(t)
 }
 
+// cloner copies a tree. m, when non-nil, receives every new→old pair;
+// found receives the copy of target.
 type cloner struct {
-	m CloneMap
+	m      CloneMap
+	target Node
+	found  Node
 }
 
 func (c *cloner) record(nw, old Node) {
-	c.m[nw] = old
+	if c.m != nil {
+		c.m[nw] = old
+	}
+	if old == c.target {
+		c.found = nw
+	}
 }
 
 func (c *cloner) program(p *Program) *Program {

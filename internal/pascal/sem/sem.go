@@ -192,13 +192,10 @@ func Analyze(prog *ast.Program) (*Info, error) {
 			LabelOf:   make(map[*ast.LabeledStmt]*LabelInfo),
 		},
 	}
-	c.universe = newScope(nil)
-	c.declareUniverse()
-
 	main := &Routine{Name: prog.Name, Kind: ast.ProcKind, Block: prog.Block, Level: 0, Labels: make(map[string]*LabelInfo)}
 	c.info.Main = main
 	c.info.Routines = append(c.info.Routines, main)
-	c.routineScope(main, c.universe)
+	c.routineScope(main, universe)
 
 	for _, r := range c.info.Routines {
 		LayoutRoutine(r)
@@ -222,16 +219,68 @@ func LayoutRoutine(r *Routine) {
 }
 
 type checker struct {
-	info     *Info
-	universe *scope
+	info *Info
+	// placed maps each label placed by the body being checked to its
+	// labeled statement.
+	placed map[*LabelInfo]*ast.LabeledStmt
+}
+
+// CheckBody re-type-checks the body of r, one routine of in, against
+// the scope Analyze checked it in (rebuilt from the symbols Analyze
+// recorded), and reports the errors a whole-program Analyze would report
+// for that body. It is for a caller that edited
+// only r's body statements since Analyze: every other body and every
+// declaration checks as before, so only r's body can have changed the
+// verdict. Resolutions, types and label placements go to scratch
+// state; in, its symbols and its label placements are left unchanged,
+// so in keeps describing the program as Analyze saw it.
+func (in *Info) CheckBody(r *Routine) error {
+	c := &checker{
+		info: &Info{
+			Uses:    make(map[*ast.Ident]Symbol),
+			Calls:   make(map[ast.Node]*Routine),
+			Builtin: make(map[ast.Node]*Builtin),
+			TypeOf:  make(map[ast.Expr]types.Type),
+			GotoTgt: make(map[*ast.GotoStmt]*LabelInfo),
+			LabelOf: make(map[*ast.LabeledStmt]*LabelInfo),
+		},
+	}
+	c.checkBody(r, bodyScope(r))
+	return c.info.Errors.Err()
+}
+
+// bodyScope rebuilds the scope routineScope checked r's body in, from
+// the symbols r and its enclosing routines declare, in the same order.
+func bodyScope(r *Routine) *scope {
+	outer := universe
+	if r.Parent != nil {
+		outer = bodyScope(r.Parent)
+	}
+	sc := newScope(outer)
+	for _, v := range r.Params {
+		sc.declare(v.Name, v)
+	}
+	for _, d := range r.decls {
+		sc.declare(d.SymName(), d)
+	}
+	for _, v := range r.Locals {
+		sc.declare(v.Name, v)
+	}
+	for _, nr := range r.Nested {
+		sc.declare(nr.Name, nr)
+	}
+	return sc
 }
 
 func (c *checker) errorf(pos token.Pos, format string, args ...any) {
 	c.info.Errors = append(c.info.Errors, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
 }
 
-func (c *checker) declareUniverse() {
-	u := c.universe
+// universe is the outermost scope of every analysis: the predeclared
+// types, constants and routines. It is never written after init, so
+// analyses share it.
+var universe = func() *scope {
+	u := newScope(nil)
 	u.declare("integer", &TypeSym{Name: "integer", Type: types.Integer})
 	u.declare("real", &TypeSym{Name: "real", Type: types.RealT})
 	u.declare("boolean", &TypeSym{Name: "boolean", Type: types.Boolean})
@@ -242,7 +291,8 @@ func (c *checker) declareUniverse() {
 	for name, b := range builtins {
 		u.declare(name, b)
 	}
-}
+	return u
+}()
 
 // routineScope builds the scope of routine r (declared in parent scope
 // outer), resolves its declarations, nested routines, and body.
@@ -287,6 +337,7 @@ func (c *checker) routineScope(r *Routine, outer *scope) {
 		if prev := sc.declare(d.Name, sym); prev != nil {
 			c.errorf(d.Pos(), "duplicate declaration of %s", d.Name)
 		}
+		r.decls = append(r.decls, sym)
 	}
 	// Types.
 	for _, d := range b.Types {
@@ -295,6 +346,7 @@ func (c *checker) routineScope(r *Routine, outer *scope) {
 		if prev := sc.declare(d.Name, sym); prev != nil {
 			c.errorf(d.Pos(), "duplicate declaration of %s", d.Name)
 		}
+		r.decls = append(r.decls, sym)
 	}
 	// Variables.
 	idx := 0
@@ -337,15 +389,25 @@ func (c *checker) routineScope(r *Routine, outer *scope) {
 	}
 
 	// Body.
-	c.checkStmt(b.Body, r, sc)
+	for li, s := range c.checkBody(r, sc) {
+		li.Placement = s
+	}
+}
 
-	// All gotos inside this routine chain were resolved during
-	// checkStmt; verify that every declared label was placed.
+// checkBody checks r's body in scope sc, verifies that every label r
+// declares is placed in it, and returns the placements.
+func (c *checker) checkBody(r *Routine, sc *scope) map[*LabelInfo]*ast.LabeledStmt {
+	c.placed = nil // only a declared label is ever placed
+	if len(r.Labels) > 0 {
+		c.placed = make(map[*LabelInfo]*ast.LabeledStmt, len(r.Labels))
+	}
+	c.checkStmt(r.Block.Body, r, sc)
 	for _, li := range r.Labels {
-		if li.Placement == nil {
+		if c.placed[li] == nil {
 			c.errorf(r.SymPos(), "label %s declared but not placed in %s", li.Name, r.Name)
 		}
 	}
+	return c.placed
 }
 
 func (c *checker) resolveTypeExpr(te ast.TypeExpr, sc *scope) types.Type {
@@ -539,10 +601,10 @@ func (c *checker) checkStmt(s ast.Stmt, r *Routine, sc *scope) {
 		li, ok := r.Labels[s.Label]
 		if !ok {
 			c.errorf(s.Pos(), "label %s not declared in %s", s.Label, r.Name)
-		} else if li.Placement != nil {
+		} else if c.placed[li] != nil {
 			c.errorf(s.Pos(), "label %s placed more than once", s.Label)
 		} else {
-			li.Placement = s
+			c.placed[li] = s
 			c.info.LabelOf[s] = li
 		}
 		c.checkStmt(s.Stmt, r, sc)

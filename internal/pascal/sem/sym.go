@@ -113,6 +113,11 @@ type Routine struct {
 	// the end of Analyze. The interpreter sizes its slot-addressed
 	// frames from it instead of probing per-variable maps.
 	Frame FrameLayout
+
+	// decls are the constants, then the types, the routine declares,
+	// in declaration order: with Params, Locals and Nested, what
+	// CheckBody needs to rebuild the scope of the body.
+	decls []Symbol
 }
 
 // FrameLayout is the activation-record layout of one routine: Vars[i] is

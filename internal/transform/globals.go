@@ -223,7 +223,6 @@ func (st *state) extendCalls(r *sem.Routine, info *sem.Info, plan map[*sem.Routi
 				ce := &ast.CallExpr{CallPos: e.Pos(), Name: e.Name}
 				ce.Args = extend(e, nil)
 				info.Calls[ce] = callee // keep resolution for later passes
-				st.mapOrigin(ce, e)
 				return ce
 			}
 			return e

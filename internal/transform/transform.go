@@ -25,9 +25,10 @@
 // save_incoming/outgoing_values calls), tracing uses the interpreter's
 // event sink, which is observationally equivalent; see DESIGN.md.
 //
-// A construct map (Origins) links every transformed node to the original
-// construct so the debugger can present original code to the user
-// (Section 6.1).
+// The construct map the debugger needs to present original code to the
+// user (Section 6.1) is unit-level: Units names the original routine
+// (and, for a loop unit, its loop) behind every transformed routine,
+// and Added lists the parameters each routine gained.
 package transform
 
 import (
@@ -54,7 +55,9 @@ type UnitOrigin struct {
 	// RoutineName is the original routine's name (for LoopUnit, the
 	// routine whose body contained the loop).
 	RoutineName string
-	// Loop is the original loop statement for LoopUnit.
+	// Loop is the loop statement a LoopUnit was extracted from, as it
+	// stood in the program being transformed: same construct type and
+	// source position as the original loop.
 	Loop ast.Stmt
 }
 
@@ -83,11 +86,6 @@ type Result struct {
 	Program *ast.Program
 	Info    *sem.Info
 
-	// Origins maps transformed AST nodes to the original nodes they were
-	// derived from (identity for untouched constructs, the source loop
-	// for loop-unit bodies, the original goto/call for inserted glue).
-	Origins ast.CloneMap
-
 	// Units maps transformed routine names to their origin.
 	Units map[string]UnitOrigin
 
@@ -111,25 +109,6 @@ func (res *Result) OriginRoutine(unit string) string {
 		return u.RoutineName
 	}
 	return unit
-}
-
-// OriginalStmt resolves a transformed statement to its original
-// counterpart, following the construct map transitively. Returns nil
-// when the statement is pure synthesis (inserted glue).
-func (res *Result) OriginalStmt(s ast.Stmt) ast.Stmt {
-	var n ast.Node = s
-	for {
-		o, ok := res.Origins[n]
-		if !ok || o == n {
-			break
-		}
-		n = o
-	}
-	if n == ast.Node(s) {
-		return s
-	}
-	os, _ := n.(ast.Stmt)
-	return os
 }
 
 // Stages selects which transformation passes run. The zero value runs
@@ -176,42 +155,45 @@ func Apply(info *sem.Info) (*Result, error) {
 // ApplyStages runs the selected transformation passes on an analyzed
 // program. The input program is not modified.
 func ApplyStages(info *sem.Info, stages Stages) (*Result, error) {
-	clone, cm := ast.Clone(info.Program)
+	return InPlace(ast.Copy(info.Program), stages)
+}
+
+// InPlace runs the selected transformation passes on p, which need not
+// have been analyzed, and consumes it: the passes rewrite p itself, and
+// on success Result.Program is p.
+func InPlace(p *ast.Program, stages Stages) (*Result, error) {
 	res := &Result{
-		Origins:     cm,
 		Units:       make(map[string]UnitOrigin),
 		Added:       make(map[string][]AddedParam),
 		EscapeCodes: make(map[int]string),
 	}
 	// Seed Units with the original routines.
-	for _, r := range info.Routines {
-		res.Units[r.Name] = UnitOrigin{Kind: RoutineUnit, RoutineName: r.Name}
-	}
+	res.Units[p.Name] = UnitOrigin{Kind: RoutineUnit, RoutineName: p.Name}
+	seedUnits(res.Units, p.Block)
 
-	st := &state{res: res, names: collectNames(clone)}
+	st := &state{res: res, names: collectNames(p)}
 
 	// Pass 1: loop extraction (pure AST rewriting).
 	if stages.Loops {
-		st.extractLoops(clone)
+		st.extractLoops(p)
 	}
 
-	// (Re-)analyze the clone: the input info describes the original AST,
-	// and passes 2 and 3 must resolve symbols of the clone they rewrite.
-	// Later passes re-analyze only when they rewrote the clone; otherwise
-	// cur still describes it exactly.
-	cur, err := sem.Analyze(clone)
+	// Analyze the program passes 2 and 3 rewrite. Later passes
+	// re-analyze only when they rewrote it; otherwise cur still
+	// describes it exactly.
+	cur, err := sem.Analyze(p)
 	if err != nil {
-		return nil, fmt.Errorf("transform: loop extraction broke the program: %w", err)
+		return nil, fmt.Errorf("transform: program does not analyze after loop extraction: %w", err)
 	}
 
 	// Pass 2: break global gotos.
 	if stages.Gotos {
-		changed, err := st.breakGotos(clone, cur)
+		changed, err := st.breakGotos(p, cur)
 		if err != nil {
 			return nil, err
 		}
 		if changed {
-			if cur, err = sem.Analyze(clone); err != nil {
+			if cur, err = sem.Analyze(p); err != nil {
 				return nil, fmt.Errorf("transform: goto breaking broke the program: %w", err)
 			}
 		}
@@ -219,19 +201,28 @@ func ApplyStages(info *sem.Info, stages Stages) (*Result, error) {
 
 	// Pass 3: globals to parameters.
 	if stages.Globals {
-		changed, err := st.globalsToParams(clone, cur)
+		changed, err := st.globalsToParams(p, cur)
 		if err != nil {
 			return nil, err
 		}
 		if changed {
-			if cur, err = sem.Analyze(clone); err != nil {
+			if cur, err = sem.Analyze(p); err != nil {
 				return nil, fmt.Errorf("transform: transformed program does not re-analyze: %w", err)
 			}
 		}
 	}
-	res.Program = clone
+	res.Program = p
 	res.Info = cur
 	return res, nil
+}
+
+// seedUnits records every routine declared in b, at any depth, as its
+// own unit.
+func seedUnits(units map[string]UnitOrigin, b *ast.Block) {
+	for _, r := range b.Routines {
+		units[r.Name] = UnitOrigin{Kind: RoutineUnit, RoutineName: r.Name}
+		seedUnits(units, r.Block)
+	}
 }
 
 // state carries shared transformation machinery.

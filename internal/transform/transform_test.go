@@ -13,6 +13,7 @@ import (
 	"gadt/internal/pascal/parser"
 	"gadt/internal/pascal/printer"
 	"gadt/internal/pascal/sem"
+	"gadt/internal/pascal/token"
 	"gadt/internal/transform"
 )
 
@@ -319,29 +320,60 @@ func TestGrowthFactorUnderTwo(t *testing.T) {
 	}
 }
 
-func TestOriginalStmtMapping(t *testing.T) {
-	res := apply(t, paper.LoopGoto)
-	// Every statement in the transformed program maps to an original
-	// construct or is recognizable glue.
-	mapped, total := 0, 0
-	ast.Inspect(res.Program, func(n ast.Node) bool {
-		s, ok := n.(ast.Stmt)
-		if !ok {
-			return true
-		}
-		if _, isCompound := s.(*ast.CompoundStmt); isCompound {
-			return true
-		}
-		total++
-		if o := res.OriginalStmt(s); o != nil {
-			// The origin must belong to the original tree or be the
-			// statement itself.
-			mapped++
-		}
-		return true
-	})
-	if total == 0 || mapped == 0 {
-		t.Fatalf("no statements mapped (total=%d mapped=%d)", total, mapped)
+// TestLoopUnitOrigins checks the unit-level construct map: every loop
+// unit names a loop of its original routine with the original loop's
+// construct type and source position (the debugger renders both), and
+// ApplyStages leaves its input program unchanged.
+func TestLoopUnitOrigins(t *testing.T) {
+	for name, src := range map[string]string{
+		"sqrtest": paper.Sqrtest, "loopGoto": paper.LoopGoto, "arrsum": paper.ArrsumProgram,
+	} {
+		t.Run(name, func(t *testing.T) {
+			prog := parser.MustParse("t.pas", src)
+			info, err := sem.Analyze(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := printer.Print(prog)
+			res, err := transform.Apply(info)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := printer.Print(prog); got != before {
+				t.Errorf("Apply modified its input:\n%s\nwant:\n%s", got, before)
+			}
+			// Original loops by routine and position.
+			type key struct {
+				routine string
+				pos     token.Pos
+			}
+			loops := make(map[key]ast.Stmt)
+			for _, r := range info.Routines {
+				ast.Inspect(r.Block.Body, func(n ast.Node) bool {
+					switch n.(type) {
+					case *ast.WhileStmt, *ast.RepeatStmt, *ast.ForStmt:
+						loops[key{r.Name, n.Pos()}] = n.(ast.Stmt)
+					}
+					return true
+				})
+			}
+			units := 0
+			for unit, u := range res.Units {
+				if u.Kind != transform.LoopUnit {
+					continue
+				}
+				units++
+				orig := loops[key{u.RoutineName, u.Loop.Pos()}]
+				if orig == nil {
+					t.Errorf("loop unit %s: no loop of %s at %s", unit, u.RoutineName, u.Loop.Pos())
+				} else if reflect.TypeOf(orig) != reflect.TypeOf(u.Loop) {
+					t.Errorf("loop unit %s: loop is %T, original is %T", unit, u.Loop, orig)
+				}
+			}
+			if units == 0 {
+				t.Fatal("no loop units")
+			}
+		})
 	}
 }
 
